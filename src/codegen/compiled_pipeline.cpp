@@ -465,6 +465,14 @@ class StageFilter : public dc::Filter {
   PacketCodec codec_;
   std::optional<PacketCodec> input_codec_;
   Env env_;
+  /// The stage's per-packet code, lowered once against env_ at init.
+  std::shared_ptr<const LoweredCode> body_;
+  struct Materialization {
+    const VarDeclStmt* decl;
+    std::shared_ptr<const LoweredCode> declare;
+    std::shared_ptr<const LoweredCode> length;  // null unless a new-array decl
+  };
+  std::vector<Materialization> materialize_;
   RectDomainVal packet_domain_;
   std::int64_t current_packet_ = 0;
   std::vector<std::string> replica_names_;  // owned replicas in decl order
@@ -485,12 +493,8 @@ void StageFilter::init(dc::FilterContext& ctx) {
   if (is_source()) {
     // Pre-loop setup: input data materialization on the data host.
     interp_.exec_stmts(model_.before, env_);
-    Value dom = [&] {
-      Env& env = env_;
-      // Evaluate the packet domain in the setup environment.
-      return interp_.eval(*model_.loop->domain, env);
-    }();
-    if (auto* d = std::get_if<RectDomainVal>(&dom)) {
+    const Value dom = interp_.eval(*model_.loop->domain, env_);
+    if (const auto* d = std::get_if<RectDomainVal>(&dom)) {
       packet_domain_ = *d;
     } else {
       throw std::runtime_error("PipelinedLoop domain is not a rectdomain");
@@ -510,6 +514,13 @@ void StageFilter::init(dc::FilterContext& ctx) {
       continue;
     replica_names_.push_back(decl.name);
     if (!env_.has(decl.name)) interp_.exec_stmt(decl, env_);
+  }
+  body_ = interp_.lower(plan_.stmts, env_);
+  for (const VarDeclStmt* decl : plan_.materialize) {
+    Materialization m{decl, interp_.lower({decl}, env_), nullptr};
+    if (decl->init && decl->init->kind == NodeKind::NewArray)
+      m.length = interp_.lower(*static_cast<const NewArrayExpr&>(*decl->init).length, env_);
+    materialize_.push_back(std::move(m));
   }
   // Setup cost (dataset synthesis stands in for the disk read) is not
   // charged as pipeline compute.
@@ -636,7 +647,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
       env_.push();
       env_.declare(model_.loop_var, p);
       interp_.add_external_ops(pack_cost_.source_io_ops);  // storage read
-      interp_.exec_stmts(plan_.stmts, env_);
+      interp_.exec(*body_, env_);
       if (ctx.has_output()) emit_packet(ctx, env_);
       env_.pop();
       ++packets_seen_;
@@ -708,18 +719,18 @@ void StageFilter::process(dc::FilterContext& ctx) {
     }
     // Recreate dead-in allocations this stage overwrites, and grow
     // received partial slices to their declared allocation size.
-    for (const VarDeclStmt* decl : plan_.materialize) {
-      if (!env_.has(decl->name)) {
-        interp_.exec_stmt(*decl, env_);
+    for (const Materialization& m : materialize_) {
+      if (!env_.has(m.decl->name)) {
+        interp_.exec(*m.declare, env_);
         continue;
       }
-      if (!decl->init || decl->init->kind != NodeKind::NewArray) continue;
-      Value& bound = env_.slot(decl->name);
+      if (!m.length) continue;
+      Value& bound = env_.slot(m.decl->name);
       auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bound);
       if (!arr || !*arr || (*arr)->base_index != 0) continue;
-      const auto& alloc = static_cast<const NewArrayExpr&>(*decl->init);
-      const std::int64_t want = as_int(interp_.eval(*alloc.length, env_));
+      const std::int64_t want = as_int(interp_.exec(*m.length, env_));
       if (static_cast<std::int64_t>((*arr)->elems.size()) < want) {
+        const auto& alloc = static_cast<const NewArrayExpr&>(*m.decl->init);
         (*arr)->elems.resize(static_cast<std::size_t>(want),
                              Interpreter::default_value(alloc.element_type));
       }
@@ -730,7 +741,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
     // recycle waits until the outgoing packet has copied them out.
     const bool views_alive = !plan_.passthrough.empty();
     if (!views_alive) ctx.recycle(std::move(in));
-    interp_.exec_stmts(plan_.stmts, env_);
+    interp_.exec(*body_, env_);
     if (ctx.has_output()) emit_packet(ctx, env_, views_alive ? &views : nullptr);
     if (views_alive) {
       views.clear();

@@ -60,95 +60,1891 @@ std::string value_to_string(const Value& v) {
 // Env
 // ---------------------------------------------------------------------------
 
-void Env::declare(const std::string& name, Value value) {
-  scopes_.back()[name] = std::move(value);
+int Env::index(const std::string& name) {
+  auto [it, inserted] = index_.try_emplace(name, static_cast<int>(names_.size()));
+  if (inserted) {
+    names_.push_back(name);
+    values_.emplace_back();
+    depth_.push_back(-1);
+  }
+  return it->second;
 }
 
-void Env::assign(const std::string& name, Value value) {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    auto found = it->find(name);
-    if (found != it->end()) {
-      found->second = std::move(value);
+void Env::declare_at(int slot, Value value) {
+  const auto s = static_cast<std::size_t>(slot);
+  const int depth = static_cast<int>(marks_.size());
+  if (depth > 0 && depth_[s] != depth)
+    trail_.push_back(Saved{slot, depth_[s], std::move(values_[s])});
+  values_[s] = std::move(value);
+  depth_[s] = depth;
+}
+
+void Env::pop() {
+  const std::size_t mark = marks_.back();
+  marks_.pop_back();
+  while (trail_.size() > mark) {
+    Saved& saved = trail_.back();
+    const auto s = static_cast<std::size_t>(saved.slot);
+    values_[s] = std::move(saved.value);
+    depth_[s] = saved.depth;
+    trail_.pop_back();
+  }
+}
+
+void Env::declare_global(const std::string& name, Value value) {
+  const int slot = index(name);
+  const auto s = static_cast<std::size_t>(slot);
+  if (depth_[s] > 0) {
+    // Shadowed: the base binding (or its absence) sits in the oldest
+    // trail entry for this slot.
+    for (Saved& saved : trail_) {
+      if (saved.slot != slot) continue;
+      saved.value = std::move(value);
+      saved.depth = 0;
       return;
     }
   }
-  throw std::runtime_error("assignment to undeclared variable '" + name + "'");
+  values_[s] = std::move(value);
+  depth_[s] = 0;
 }
 
-bool Env::has(const std::string& name) const {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    if (it->count(name)) return true;
-  }
-  return false;
+const Value* Env::find(const std::string& name) const {
+  auto it = index_.find(name);
+  if (it == index_.end()) return nullptr;
+  const auto s = static_cast<std::size_t>(it->second);
+  return depth_[s] >= 0 ? &values_[s] : nullptr;
 }
+
+void Env::assign(const std::string& name, Value value) {
+  if (!has(name))
+    throw std::runtime_error("assignment to undeclared variable '" + name + "'");
+  values_[static_cast<std::size_t>(index_.at(name))] = std::move(value);
+}
+
+bool Env::has(const std::string& name) const { return find(name) != nullptr; }
 
 Value& Env::slot(const std::string& name) {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    auto found = it->find(name);
-    if (found != it->end()) return found->second;
-  }
-  throw std::runtime_error("undeclared variable '" + name + "'");
+  if (!has(name)) throw std::runtime_error("undeclared variable '" + name + "'");
+  return values_[static_cast<std::size_t>(index_.at(name))];
 }
 
 const Value& Env::get(const std::string& name) const {
-  return const_cast<Env*>(this)->slot(name);
+  const Value* v = find(name);
+  if (!v) throw std::runtime_error("undeclared variable '" + name + "'");
+  return *v;
 }
 
 std::map<std::string, Value> Env::flatten() const {
   std::map<std::string, Value> out;
-  for (const auto& scope : scopes_) {
-    for (const auto& [name, value] : scope) out[name] = value;
-  }
+  for (std::size_t s = 0; s < names_.size(); ++s)
+    if (depth_[s] >= 0) out[names_[s]] = values_[s];
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter
+// Lowered code
 // ---------------------------------------------------------------------------
 
 namespace {
+
 constexpr int kMaxCallDepth = 256;
 constexpr double kMemOp = 1.5;
 constexpr double kFloatOp = 2.0;
 constexpr double kIntOp = 1.0;
 constexpr double kBranchOp = 1.0;
 
-/// Coerces a value for storage into a slot of declared type `type`:
-/// integral truncation, float32 rounding (Java `float` semantics — also
-/// exactly what the packing codec transmits), int<->double widening.
-Value coerce_store(const TypePtr& type, Value value) {
-  if (!type || !type->is_primitive()) return value;
+/// Storage coercion into a slot of a declared primitive type: integral
+/// truncation, float32 rounding (Java `float` semantics — also exactly
+/// what the packing codec transmits), int<->double widening.
+enum class Coerce : std::uint8_t { None, Int, Float, Double };
+
+Coerce coerce_kind(const TypePtr& type) {
+  if (!type || !type->is_primitive()) return Coerce::None;
   switch (type->prim()) {
     case PrimKind::Int:
     case PrimKind::Long:
     case PrimKind::Byte:
-      if (std::holds_alternative<double>(value)) {
-        return static_cast<std::int64_t>(std::get<double>(value));
-      }
-      return value;
+      return Coerce::Int;
     case PrimKind::Float:
-      if (std::holds_alternative<double>(value)) {
-        return static_cast<double>(static_cast<float>(std::get<double>(value)));
-      }
-      if (std::holds_alternative<std::int64_t>(value)) {
-        return static_cast<double>(
-            static_cast<float>(std::get<std::int64_t>(value)));
-      }
-      return value;
+      return Coerce::Float;
     case PrimKind::Double:
-      if (std::holds_alternative<std::int64_t>(value)) {
-        return static_cast<double>(std::get<std::int64_t>(value));
-      }
-      return value;
+      return Coerce::Double;
     default:
-      return value;
+      return Coerce::None;
   }
 }
+
+void coerce(Coerce kind, Value& value) {
+  switch (kind) {
+    case Coerce::Int:
+      if (const auto* d = std::get_if<double>(&value))
+        value = static_cast<std::int64_t>(*d);
+      return;
+    case Coerce::Float:
+      if (const auto* d = std::get_if<double>(&value)) {
+        value = static_cast<double>(static_cast<float>(*d));
+      } else if (const auto* i = std::get_if<std::int64_t>(&value)) {
+        value = static_cast<double>(static_cast<float>(*i));
+      }
+      return;
+    case Coerce::Double:
+      if (const auto* i = std::get_if<std::int64_t>(&value))
+        value = static_cast<double>(*i);
+      return;
+    case Coerce::None:
+      return;
+  }
+}
+
+/// Typed stores into a float/double slot: the value coerce() leaves there.
+double to_floating(Coerce kind, double d) {
+  return kind == Coerce::Float ? static_cast<double>(static_cast<float>(d)) : d;
+}
+double to_floating(Coerce kind, std::int64_t i) {
+  return kind == Coerce::Float ? static_cast<double>(static_cast<float>(i))
+                               : static_cast<double>(i);
+}
+
+/// Runtime representation of an expression's values, fixed at lowering:
+/// sema's types decide it, and every store into a typed slot coerces to
+/// it, so typed nodes run unboxed. Val falls back to variant dispatch.
+enum class Rep : std::uint8_t { Int, Dbl, Bool, Val };
+
+Rep rep_of(const TypePtr& type) {
+  if (!type || !type->is_primitive()) return Rep::Val;
+  if (type->is_integral()) return Rep::Int;
+  if (type->is_floating()) return Rep::Dbl;
+  if (type->is_boolean()) return Rep::Bool;
+  return Rep::Val;
+}
+
+bool numeric_rep(Rep rep) { return rep != Rep::Val; }
+
+std::int64_t load_i(const Value& v) {
+  if (const auto* p = std::get_if<std::int64_t>(&v)) return *p;
+  return as_int(v);
+}
+double load_d(const Value& v) {
+  if (const auto* p = std::get_if<double>(&v)) return *p;
+  return as_double(v);
+}
+bool load_b(const Value& v) {
+  if (const auto* p = std::get_if<bool>(&v)) return *p;
+  return as_bool(v);
+}
+
+/// Two's-complement wrap instead of signed-overflow UB.
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+
+std::string range_error(std::int64_t i, const ArrayVal& arr) {
+  return "array index " + std::to_string(i) + " out of range [base " +
+         std::to_string(arr.base_index) + ", size " +
+         std::to_string(arr.elems.size()) + ")";
+}
+
+enum class Flow { Normal, Break, Continue, Return };
+
+struct Ctx;
+
+/// Lowered expression. v/i/d/b evaluate with the semantics of as_int,
+/// as_double and as_bool applied to the value; typed nodes override the
+/// accessor of their representation and skip the boxing.
+struct XNode {
+  XNode(Rep r, SourceLocation l) : rep(r), loc(l) {}
+  virtual ~XNode() = default;
+  virtual Value v(Ctx& c) const = 0;
+  virtual std::int64_t i(Ctx& c) const { return as_int(v(c)); }
+  virtual double d(Ctx& c) const { return as_double(v(c)); }
+  virtual bool b(Ctx& c) const { return as_bool(v(c)); }
+  /// Address of the stored value the node reads, with the same side
+  /// effects as v(). Only called when has_ref is set.
+  virtual const Value* ref(Ctx&) const { return nullptr; }
+
+  Rep rep;
+  SourceLocation loc;
+  /// No writes, calls or allocation: evaluating it cannot free storage
+  /// another node holds a raw pointer into.
+  bool pure = false;
+  bool has_ref = false;
+};
+using X = std::unique_ptr<XNode>;
+
+struct IntX : XNode {
+  explicit IntX(SourceLocation l) : XNode(Rep::Int, l) {}
+  Value v(Ctx& c) const override { return i(c); }
+  double d(Ctx& c) const override { return static_cast<double>(i(c)); }
+};
+struct DblX : XNode {
+  explicit DblX(SourceLocation l) : XNode(Rep::Dbl, l) {}
+  Value v(Ctx& c) const override { return d(c); }
+  std::int64_t i(Ctx& c) const override { return static_cast<std::int64_t>(d(c)); }
+};
+struct BoolX : XNode {
+  explicit BoolX(SourceLocation l) : XNode(Rep::Bool, l) {}
+  Value v(Ctx& c) const override { return b(c); }
+  std::int64_t i(Ctx& c) const override { return b(c) ? 1 : 0; }
+  double d(Ctx& c) const override { return b(c) ? 1.0 : 0.0; }
+};
+
+/// Lowered assignment target: resolves to the stored Value, raising the
+/// same errors as a store would. `keep` holds a temporary base alive
+/// until the caller has stored through the pointer.
+struct Place {
+  virtual ~Place() = default;
+  virtual Value* addr(Ctx& c, Value& keep) const = 0;
+};
+using P = std::unique_ptr<Place>;
+
+struct SNode {
+  virtual ~SNode() = default;
+  virtual Flow run(Ctx& c) const = 0;
+};
+using S = std::unique_ptr<SNode>;
+
+/// A method body lowered once; parameters occupy the first frame slots.
+struct Method {
+  const MethodDecl* decl = nullptr;
+  std::vector<Coerce> params;
+  std::vector<S> body;
+  std::size_t frame_size = 0;
+};
+
 }  // namespace
+
+struct Interpreter::Machine {
+  Machine(const ClassRegistry& r, std::map<std::string, std::int64_t> c)
+      : registry(r), constants(std::move(c)) {}
+
+  const ClassInfo& class_info(const std::string& name) const {
+    const ClassInfo* info = registry.find(name);
+    if (!info) throw InterpError({}, "unknown class '" + name + "'");
+    return *info;
+  }
+  Method& method(const ClassInfo& cls, const MethodDecl& decl);
+  Method& lookup(const std::string& class_name, const std::string& name) {
+    const ClassInfo& cls = class_info(class_name);
+    const MethodDecl* decl = cls.find_method(name);
+    if (!decl || !decl->body) {
+      throw InterpError({}, "no executable method '" + class_name + "::" +
+                                name + "'");
+    }
+    return method(cls, *decl);
+  }
+
+  const ClassRegistry& registry;
+  std::map<std::string, std::int64_t> constants;
+  double ops = 0.0;
+  Value ret;  // value of the last executed return statement
+  int call_depth = 0;
+  /// Frame stack: one slot vector per nesting level, reused across calls,
+  /// so frames are allocated once and pointers into a live level stay
+  /// valid while deeper levels come and go.
+  std::vector<std::vector<Value>> frames;
+  std::size_t frame_top = 0;
+  std::map<const MethodDecl*, std::unique_ptr<Method>> methods;
+  PipelinedHook hook;
+  Env hook_env;  // handed to the hook for loops inside method bodies
+};
+
+namespace {
+
+using Machine = Interpreter::Machine;
+
+struct Ctx {
+  Machine& m;
+  Value* fp;  // local slots of the running frame
+  Env* env;   // named slots; null inside method bodies
+  const std::shared_ptr<Object>* self;  // receiver (possibly null)
+};
+
+const std::shared_ptr<Object> kNoSelf;
+
+/// One level of the frame stack, cleared on exit so the values it held
+/// are released when the call or run that owned it returns.
+class Frame {
+ public:
+  Frame(Machine& m, std::size_t size) : m_(m), level_(m.frame_top) {
+    if (level_ == m.frames.size()) m.frames.emplace_back();
+    ++m.frame_top;
+    grow(size);
+  }
+  ~Frame() {
+    std::vector<Value>& slots = m_.frames[level_];
+    for (std::size_t i = 0; i < used_; ++i) slots[i] = Value{};
+    --m_.frame_top;
+  }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  void grow(std::size_t size) {
+    std::vector<Value>& slots = m_.frames[level_];
+    if (slots.size() < size) slots.resize(size);
+    used_ = std::max(used_, size);
+    data_ = slots.data();
+  }
+  Value* data() const { return data_; }
+
+ private:
+  Machine& m_;
+  std::size_t level_;
+  std::size_t used_ = 0;
+  Value* data_ = nullptr;
+};
+
+/// Runs a lowered method on a frame whose first `nargs` slots hold the
+/// evaluated arguments.
+Value run_method(Machine& m, const Method& fn,
+                 const std::shared_ptr<Object>& self, Frame& frame,
+                 std::size_t nargs) {
+  const MethodDecl& decl = *fn.decl;
+  if (fn.params.size() != nargs)
+    throw InterpError(decl.location, "arity mismatch calling '" + decl.name + "'");
+  if (++m.call_depth > kMaxCallDepth) {
+    --m.call_depth;
+    throw InterpError(decl.location, "call depth limit exceeded");
+  }
+  struct DepthGuard {
+    int& depth;
+    ~DepthGuard() { --depth; }
+  } guard{m.call_depth};
+  m.ops += 2.0 * kBranchOp;
+  frame.grow(fn.frame_size);
+  Value* fp = frame.data();
+  for (std::size_t k = 0; k < nargs; ++k) coerce(fn.params[k], fp[k]);
+  m.ret = Value{};
+  Ctx c{m, fp, nullptr, &self};
+  for (const S& s : fn.body)
+    if (s->run(c) == Flow::Return) break;
+  return m.ret;
+}
+
+std::vector<Value> default_fields(const ClassInfo& cls) {
+  std::vector<Value> fields;
+  fields.reserve(cls.fields.size());
+  for (const FieldInfo& field : cls.fields)
+    fields.push_back(Interpreter::default_value(field.type));
+  return fields;
+}
+
+/// Allocates an object of `cls` and runs its constructor with the
+/// arguments already in `frame`.
+std::shared_ptr<Object> construct_in(Machine& m, const ClassInfo& cls,
+                                     std::vector<Value> fields, Frame& frame,
+                                     std::size_t nargs) {
+  auto obj = std::make_shared<Object>();
+  obj->class_name = cls.name;
+  obj->fields = std::move(fields);
+  const MethodDecl* ctor = cls.constructor();
+  if (ctor && ctor->body) {
+    run_method(m, m.method(cls, *ctor), obj, frame, nargs);
+  } else if (nargs > 0) {
+    throw InterpError({}, "class '" + cls.name + "' has no constructor");
+  }
+  return obj;
+}
+
+void discard(const XNode& x, Ctx& c) {
+  switch (x.rep) {
+    case Rep::Int: x.i(c); return;
+    case Rep::Dbl: x.d(c); return;
+    case Rep::Bool: x.b(c); return;
+    case Rep::Val: x.v(c); return;
+  }
+}
+
+// ---- constants and reads ---------------------------------------------------
+
+struct IntConst final : IntX {
+  IntConst(std::int64_t k, SourceLocation l) : IntX(l), value(k) { pure = true; }
+  std::int64_t i(Ctx&) const override { return value; }
+  std::int64_t value;
+};
+
+struct DblConst final : DblX {
+  DblConst(double k, SourceLocation l) : DblX(l), value(k) { pure = true; }
+  double d(Ctx&) const override { return value; }
+  double value;
+};
+
+struct BoolConst final : BoolX {
+  BoolConst(bool k, SourceLocation l) : BoolX(l), value(k) { pure = true; }
+  bool b(Ctx&) const override { return value; }
+  bool value;
+};
+
+struct ValConst final : XNode {
+  ValConst(Value k, SourceLocation l) : XNode(Rep::Val, l), value(std::move(k)) {
+    pure = true;
+  }
+  Value v(Ctx&) const override { return value; }
+  Value value;
+};
+
+/// An error found at lowering, raised only if evaluation reaches it, so
+/// code that never runs never fails.
+struct Raise final : XNode {
+  Raise(std::string m, SourceLocation l) : XNode(Rep::Val, l), message(std::move(m)) {
+    pure = true;
+  }
+  Value v(Ctx&) const override { throw InterpError(loc, message); }
+  std::string message;
+};
+
+/// Reads a stored Value through Derived::at, which performs the read's
+/// side effects (op charges, null checks) once per access.
+template <class Derived>
+struct Stored : XNode {
+  using XNode::XNode;
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+  Value v(Ctx& c) const override { return self().at(c); }
+  std::int64_t i(Ctx& c) const override { return load_i(self().at(c)); }
+  double d(Ctx& c) const override { return load_d(self().at(c)); }
+  bool b(Ctx& c) const override { return load_b(self().at(c)); }
+  const Value* ref(Ctx& c) const override { return &self().at(c); }
+};
+
+struct LocalRead final : Stored<LocalRead> {
+  LocalRead(int s, Rep r, SourceLocation l) : Stored(r, l), slot(s) {
+    pure = has_ref = true;
+  }
+  const Value& at(Ctx& c) const { return c.fp[slot]; }
+  int slot;
+};
+
+struct NamedRead final : Stored<NamedRead> {
+  NamedRead(int s, std::string n, Rep r, SourceLocation l)
+      : Stored(r, l), slot(s), name(std::move(n)) {
+    pure = has_ref = true;
+  }
+  const Value& at(Ctx& c) const {
+    if (c.env->bound(slot)) return c.env->at(slot);
+    throw InterpError(loc, "undeclared variable '" + name + "'");
+  }
+  int slot;
+  std::string name;
+};
+
+/// Unqualified field of the receiver (`x` meaning `this.x`).
+struct ThisField final : Stored<ThisField> {
+  ThisField(int f, std::string n, Rep r, SourceLocation l)
+      : Stored(r, l), field(f), name(std::move(n)) {
+    pure = has_ref = true;
+  }
+  const Value& at(Ctx& c) const {
+    Object* self = c.self->get();
+    if (!self) throw InterpError(loc, "undeclared variable '" + name + "'");
+    c.m.ops += kMemOp;
+    return self->fields[static_cast<std::size_t>(field)];
+  }
+  int field;
+  std::string name;
+};
+
+struct This final : XNode {
+  explicit This(SourceLocation l) : XNode(Rep::Val, l) { pure = true; }
+  Value v(Ctx& c) const override {
+    if (!*c.self) throw InterpError(loc, "'this' outside of a method");
+    return *c.self;
+  }
+};
+
+/// Evaluates `base` and hands `f` its stored value, without copying it
+/// when `by_ref` (the node's own storage outlives the call).
+template <class F>
+decltype(auto) with_base(const XNode& base, bool by_ref, Ctx& c, F&& f) {
+  if (by_ref) return f(*base.ref(c));
+  const Value tmp = base.v(c);
+  return f(tmp);
+}
+
+/// `base.field` on a base whose class sema fixed: the field index is
+/// resolved at lowering.
+struct FieldRead final : Stored<FieldRead> {
+  FieldRead(X b, int f, Rep r, SourceLocation l) : Stored(r, l), base(std::move(b)), field(f) {
+    pure = base->pure;
+    has_ref = base->has_ref;
+  }
+  template <class F>
+  decltype(auto) visit(Ctx& c, F&& f) const {
+    return with_base(*base, base->has_ref, c, [&](const Value& bv) -> decltype(auto) {
+      c.m.ops += kMemOp;
+      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+      if (!obj || !*obj) throw InterpError(loc, "field access on null/non-object");
+      return f((*obj)->fields[static_cast<std::size_t>(field)]);
+    });
+  }
+  // Stored's accessors go through at(); with a temporary base they must
+  // copy out before the temporary dies, so they are overridden here.
+  const Value& at(Ctx& c) const {
+    return *visit(c, [](const Value& x) { return &x; });
+  }
+  Value v(Ctx& c) const override {
+    return visit(c, [](const Value& x) { return x; });
+  }
+  std::int64_t i(Ctx& c) const override { return visit(c, load_i); }
+  double d(Ctx& c) const override { return visit(c, load_d); }
+  bool b(Ctx& c) const override { return visit(c, load_b); }
+  X base;
+  int field;
+};
+
+/// Any other field access, resolved on the runtime value (array
+/// `length`, untyped bases).
+struct FieldDyn final : XNode {
+  FieldDyn(X b, std::string f, Rep r, SourceLocation l)
+      : XNode(r, l), base(std::move(b)), field(std::move(f)) {
+    pure = base->pure;
+  }
+  Value v(Ctx& c) const override {
+    return with_base(*base, base->has_ref, c, [&](const Value& bv) -> Value {
+      c.m.ops += kMemOp;
+      if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv)) {
+        if (!*arr) throw InterpError(loc, "field access on null array");
+        if (field == "length") return static_cast<std::int64_t>((*arr)->elems.size());
+        throw InterpError(loc, "arrays only have 'length'");
+      }
+      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+      if (!obj || !*obj) throw InterpError(loc, "field access on null/non-object");
+      const ClassInfo& cls = c.m.class_info((*obj)->class_name);
+      const FieldInfo* info = cls.find_field(field);
+      if (!info)
+        throw InterpError(loc, "no field '" + field + "' in '" + cls.name + "'");
+      return (*obj)->fields[static_cast<std::size_t>(info->index)];
+    });
+  }
+  X base;
+  std::string field;
+};
+
+struct IndexRead final : Stored<IndexRead> {
+  IndexRead(X b, X ix, Rep r, SourceLocation l)
+      : Stored(r, l), base(std::move(b)), index(std::move(ix)) {
+    pure = base->pure && index->pure;
+    has_ref = base->has_ref && index->pure;
+  }
+  template <class F>
+  decltype(auto) visit(Ctx& c, F&& f) const {
+    // A raw view of the base is safe only when the index cannot store
+    // over the slot holding the array.
+    return with_base(*base, has_ref, c, [&](const Value& bv) -> decltype(auto) {
+      const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv);
+      if (!arr || !*arr) throw InterpError(loc, "indexing null/non-array");
+      const ArrayVal& a = **arr;
+      const std::int64_t ix = index->i(c);
+      const std::int64_t local = ix - a.base_index;
+      c.m.ops += kMemOp + kIntOp;
+      if (local < 0 || local >= static_cast<std::int64_t>(a.elems.size()))
+        throw InterpError(loc, range_error(ix, a));
+      return f(a.elems[static_cast<std::size_t>(local)]);
+    });
+  }
+  const Value& at(Ctx& c) const {
+    return *visit(c, [](const Value& x) { return &x; });
+  }
+  Value v(Ctx& c) const override {
+    return visit(c, [](const Value& x) { return x; });
+  }
+  std::int64_t i(Ctx& c) const override { return visit(c, load_i); }
+  double d(Ctx& c) const override { return visit(c, load_d); }
+  bool b(Ctx& c) const override { return visit(c, load_b); }
+  X base;
+  X index;
+};
+
+// ---- operators ---------------------------------------------------------------
+
+struct NegInt final : IntX {
+  NegInt(X x, SourceLocation l) : IntX(l), operand(std::move(x)) { pure = operand->pure; }
+  std::int64_t i(Ctx& c) const override {
+    const std::int64_t x = operand->i(c);
+    c.m.ops += kIntOp;
+    return wrap_sub(0, x);
+  }
+  X operand;
+};
+
+struct NegDbl final : DblX {
+  NegDbl(X x, SourceLocation l) : DblX(l), operand(std::move(x)) { pure = operand->pure; }
+  double d(Ctx& c) const override {
+    const double x = operand->d(c);
+    c.m.ops += kFloatOp;
+    return -x;
+  }
+  X operand;
+};
+
+struct NegVal final : XNode {
+  NegVal(X x, SourceLocation l) : XNode(Rep::Val, l), operand(std::move(x)) {
+    pure = operand->pure;
+  }
+  Value v(Ctx& c) const override {
+    const Value x = operand->v(c);
+    if (const auto* d = std::get_if<double>(&x)) {
+      c.m.ops += kFloatOp;
+      return -*d;
+    }
+    c.m.ops += kIntOp;
+    return wrap_sub(0, as_int(x));
+  }
+  X operand;
+};
+
+struct Not final : BoolX {
+  Not(X x, SourceLocation l) : BoolX(l), operand(std::move(x)) { pure = operand->pure; }
+  bool b(Ctx& c) const override {
+    c.m.ops += kIntOp;
+    return !operand->b(c);
+  }
+  X operand;
+};
+
+struct IncDec final : XNode {
+  IncDec(P p, bool increment, bool prefix, Rep r, SourceLocation l)
+      : XNode(r, l), place(std::move(p)), inc(increment), pre(prefix) {}
+  Value v(Ctx& c) const override {
+    Value keep;
+    Value* slot = place->addr(c, keep);
+    c.m.ops += kIntOp + kMemOp;
+    if (const auto* d = std::get_if<double>(slot)) {
+      const double old = *d;
+      *slot = old + (inc ? 1.0 : -1.0);
+      return pre ? *slot : Value{old};
+    }
+    const std::int64_t old = as_int(*slot);
+    *slot = wrap_add(old, inc ? 1 : -1);
+    return pre ? *slot : Value{old};
+  }
+  P place;
+  bool inc;
+  bool pre;
+};
+
+struct Logical final : BoolX {
+  Logical(bool is_and, X a, X b, SourceLocation l)
+      : BoolX(l), conj(is_and), lhs(std::move(a)), rhs(std::move(b)) {
+    pure = lhs->pure && rhs->pure;
+  }
+  bool b(Ctx& c) const override {
+    c.m.ops += kBranchOp;
+    if (conj) return lhs->b(c) && rhs->b(c);
+    return lhs->b(c) || rhs->b(c);
+  }
+  bool conj;
+  X lhs;
+  X rhs;
+};
+
+template <class T>
+bool compare(BinaryOp op, T a, T b) {
+  switch (op) {
+    case BinaryOp::Eq: return a == b;
+    case BinaryOp::Ne: return a != b;
+    case BinaryOp::Lt: return a < b;
+    case BinaryOp::Gt: return a > b;
+    case BinaryOp::Le: return a <= b;
+    case BinaryOp::Ge: return a >= b;
+    default: return false;
+  }
+}
+
+/// Comparison of two numeric-rep operands; `floating` is fixed by their
+/// representations.
+struct Compare final : BoolX {
+  Compare(BinaryOp o, bool fl, X a, X b, SourceLocation l)
+      : BoolX(l), op(o), floating(fl), lhs(std::move(a)), rhs(std::move(b)) {
+    pure = lhs->pure && rhs->pure;
+  }
+  bool b(Ctx& c) const override {
+    if (floating) {
+      const double x = lhs->d(c);
+      const double y = rhs->d(c);
+      c.m.ops += kBranchOp + (kFloatOp - kIntOp);
+      return compare(op, x, y);
+    }
+    const std::int64_t x = lhs->i(c);
+    const std::int64_t y = rhs->i(c);
+    c.m.ops += kBranchOp;
+    return compare(op, x, y);
+  }
+  BinaryOp op;
+  bool floating;
+  X lhs;
+  X rhs;
+};
+
+double arith_cost(BinaryOp op, bool floating) {
+  // Division latency: float division is genuinely slow; integer div/mod by
+  // small (runtime-constant) operands is strength-reduced by a compiler.
+  const bool division = op == BinaryOp::Div || op == BinaryOp::Mod;
+  return floating ? (division ? 8.0 * kFloatOp : kFloatOp)
+                  : (division ? 3.0 * kIntOp : kIntOp);
+}
+
+double arith(BinaryOp op, double a, double b) {
+  switch (op) {
+    case BinaryOp::Add: return a + b;
+    case BinaryOp::Sub: return a - b;
+    case BinaryOp::Mul: return a * b;
+    case BinaryOp::Div: return a / b;
+    default: return std::fmod(a, b);
+  }
+}
+
+std::int64_t arith(BinaryOp op, std::int64_t a, std::int64_t b,
+                   SourceLocation loc) {
+  switch (op) {
+    case BinaryOp::Add: return wrap_add(a, b);
+    case BinaryOp::Sub: return wrap_sub(a, b);
+    case BinaryOp::Mul: return wrap_mul(a, b);
+    case BinaryOp::Div:
+      if (b == 0) throw InterpError(loc, "division by zero");
+      return a / b;
+    default:
+      if (b == 0) throw InterpError(loc, "modulo by zero");
+      return a % b;
+  }
+}
+
+struct ArithInt final : IntX {
+  ArithInt(BinaryOp o, X a, X b, SourceLocation l)
+      : IntX(l), op(o), cost(arith_cost(o, false)), lhs(std::move(a)), rhs(std::move(b)) {
+    pure = lhs->pure && rhs->pure;
+  }
+  std::int64_t i(Ctx& c) const override {
+    const std::int64_t x = lhs->i(c);
+    const std::int64_t y = rhs->i(c);
+    c.m.ops += cost;
+    return arith(op, x, y, loc);
+  }
+  BinaryOp op;
+  double cost;
+  X lhs;
+  X rhs;
+};
+
+struct ArithDbl final : DblX {
+  ArithDbl(BinaryOp o, X a, X b, SourceLocation l)
+      : DblX(l), op(o), cost(arith_cost(o, true)), lhs(std::move(a)), rhs(std::move(b)) {
+    pure = lhs->pure && rhs->pure;
+  }
+  double d(Ctx& c) const override {
+    const double x = lhs->d(c);
+    const double y = rhs->d(c);
+    c.m.ops += cost;
+    return arith(op, x, y);
+  }
+  BinaryOp op;
+  double cost;
+  X lhs;
+  X rhs;
+};
+
+/// Binary operator on operands of unknown representation: dispatches on
+/// the runtime values.
+struct BinaryVal final : XNode {
+  BinaryVal(BinaryOp o, X a, X b, SourceLocation l)
+      : XNode(is_comparison(o) ? Rep::Bool : Rep::Val, l),
+        op(o), lhs(std::move(a)), rhs(std::move(b)) {
+    pure = lhs->pure && rhs->pure;
+  }
+  Value v(Ctx& c) const override {
+    const Value a = lhs->v(c);
+    const Value b = rhs->v(c);
+    // Reference equality.
+    if ((op == BinaryOp::Eq || op == BinaryOp::Ne) &&
+        (std::holds_alternative<std::shared_ptr<Object>>(a) ||
+         std::holds_alternative<std::shared_ptr<Object>>(b) || is_null(a) ||
+         is_null(b))) {
+      c.m.ops += kIntOp;
+      const auto* ao = std::get_if<std::shared_ptr<Object>>(&a);
+      const auto* bo = std::get_if<std::shared_ptr<Object>>(&b);
+      bool equal = (ao ? ao->get() : nullptr) == (bo ? bo->get() : nullptr) &&
+                   is_null(a) == is_null(b);
+      if (is_null(a) && is_null(b)) equal = true;
+      return op == BinaryOp::Eq ? equal : !equal;
+    }
+    const bool floating =
+        std::holds_alternative<double>(a) || std::holds_alternative<double>(b);
+    if (is_comparison(op)) {
+      c.m.ops += kBranchOp + (floating ? kFloatOp - kIntOp : 0.0);
+      if (floating) return compare(op, as_double(a), as_double(b));
+      return compare(op, as_int(a), as_int(b));
+    }
+    c.m.ops += arith_cost(op, floating);
+    if (floating) return arith(op, as_double(a), as_double(b));
+    return arith(op, as_int(a), as_int(b), loc);
+  }
+  bool b(Ctx& c) const override { return as_bool(v(c)); }
+  BinaryOp op;
+  X lhs;
+  X rhs;
+};
+
+/// `cond ? a : b`; typed when both branches share a representation.
+struct Conditional final : XNode {
+  Conditional(X k, X a, X b, Rep r, SourceLocation l)
+      : XNode(r, l), cond(std::move(k)), yes(std::move(a)), no(std::move(b)) {
+    pure = cond->pure && yes->pure && no->pure;
+  }
+  const XNode& pick(Ctx& c) const {
+    c.m.ops += kBranchOp;
+    return cond->b(c) ? *yes : *no;
+  }
+  Value v(Ctx& c) const override { return pick(c).v(c); }
+  std::int64_t i(Ctx& c) const override { return pick(c).i(c); }
+  double d(Ctx& c) const override { return pick(c).d(c); }
+  bool b(Ctx& c) const override { return pick(c).b(c); }
+  X cond;
+  X yes;
+  X no;
+};
+
+// ---- assignment --------------------------------------------------------------
+
+struct LocalPlace final : Place {
+  explicit LocalPlace(int s) : slot(s) {}
+  Value* addr(Ctx& c, Value&) const override { return &c.fp[slot]; }
+  int slot;
+};
+
+struct NamedPlace final : Place {
+  NamedPlace(int s, std::string n, SourceLocation l) : slot(s), name(std::move(n)), loc(l) {}
+  Value* addr(Ctx& c, Value&) const override {
+    if (c.env->bound(slot)) return &c.env->at(slot);
+    throw InterpError(loc, "undeclared variable '" + name + "'");
+  }
+  int slot;
+  std::string name;
+  SourceLocation loc;
+};
+
+struct ThisFieldPlace final : Place {
+  ThisFieldPlace(int f, std::string n, SourceLocation l) : field(f), name(std::move(n)), loc(l) {}
+  Value* addr(Ctx& c, Value&) const override {
+    Object* self = c.self->get();
+    if (!self) throw InterpError(loc, "undeclared variable '" + name + "'");
+    return &self->fields[static_cast<std::size_t>(field)];
+  }
+  int field;
+  std::string name;
+  SourceLocation loc;
+};
+
+/// `base.field = ...`; `field` is -1 when the base's class is not known
+/// statically and the index is looked up on the runtime object.
+struct FieldPlace final : Place {
+  FieldPlace(X b, int f, std::string n, SourceLocation l)
+      : base(std::move(b)), field(f), name(std::move(n)), loc(l) {}
+  Value* addr(Ctx& c, Value& keep) const override {
+    const Value* bv = base->has_ref ? base->ref(c) : &(keep = base->v(c));
+    const auto* obj = std::get_if<std::shared_ptr<Object>>(bv);
+    if (!obj || !*obj) throw InterpError(loc, "field store on null/non-object value");
+    int index = field;
+    if (index < 0) {
+      const ClassInfo& cls = c.m.class_info((*obj)->class_name);
+      const FieldInfo* info = cls.find_field(name);
+      if (!info)
+        throw InterpError(loc, "no field '" + name + "' in '" + cls.name + "'");
+      index = info->index;
+    }
+    return &(*obj)->fields[static_cast<std::size_t>(index)];
+  }
+  X base;
+  int field;
+  std::string name;
+  SourceLocation loc;
+};
+
+struct IndexPlace final : Place {
+  IndexPlace(X b, X ix, SourceLocation l) : base(std::move(b)), index(std::move(ix)), loc(l) {}
+  Value* addr(Ctx& c, Value& keep) const override {
+    const Value* bv = base->has_ref && index->pure ? base->ref(c) : &(keep = base->v(c));
+    const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(bv);
+    if (!arr || !*arr) throw InterpError(loc, "index store on null/non-array");
+    ArrayVal& a = **arr;
+    const std::int64_t ix = index->i(c);
+    const std::int64_t local = ix - a.base_index;
+    if (local < 0 || local >= static_cast<std::int64_t>(a.elems.size()))
+      throw InterpError(loc, range_error(ix, a));
+    return &a.elems[static_cast<std::size_t>(local)];
+  }
+  X base;
+  X index;
+  SourceLocation loc;
+};
+
+struct RaisePlace final : Place {
+  RaisePlace(std::string m, SourceLocation l) : message(std::move(m)), loc(l) {}
+  Value* addr(Ctx&, Value&) const override { throw InterpError(loc, message); }
+  std::string message;
+  SourceLocation loc;
+};
+
+Value compound(AssignOp op, const Value& current, const Value& rhs,
+               double& ops, SourceLocation loc) {
+  const bool floating = std::holds_alternative<double>(current) ||
+                        std::holds_alternative<double>(rhs);
+  ops += floating ? kFloatOp : kIntOp;
+  if (floating) {
+    const double a = as_double(current);
+    const double b = as_double(rhs);
+    switch (op) {
+      case AssignOp::AddAssign: return a + b;
+      case AssignOp::SubAssign: return a - b;
+      case AssignOp::MulAssign: return a * b;
+      case AssignOp::DivAssign: return a / b;
+      default: return rhs;
+    }
+  }
+  const std::int64_t a = as_int(current);
+  const std::int64_t b = as_int(rhs);
+  switch (op) {
+    case AssignOp::AddAssign: return wrap_add(a, b);
+    case AssignOp::SubAssign: return wrap_sub(a, b);
+    case AssignOp::MulAssign: return wrap_mul(a, b);
+    case AssignOp::DivAssign:
+      if (b == 0) throw InterpError(loc, "integer division by zero");
+      return a / b;
+    default: return rhs;
+  }
+}
+
+/// Assignment through variant dispatch (targets or values of unknown
+/// representation).
+struct AssignVal final : XNode {
+  AssignVal(AssignOp o, P p, X x, TypePtr t, SourceLocation l)
+      : XNode(rep_of(t), l), op(o), place(std::move(p)), value(std::move(x)),
+        typed(t != nullptr), co(coerce_kind(t)) {}
+  Value v(Ctx& c) const override {
+    Value result = value->v(c);
+    Value keep;
+    Value* slot = place->addr(c, keep);
+    c.m.ops += kMemOp;
+    if (op != AssignOp::Assign) result = compound(op, *slot, result, c.m.ops, loc);
+    // Coerce to the declared type of the target (sema typed it); fall
+    // back to the slot's current representation when untyped.
+    if (typed) {
+      coerce(co, result);
+    } else if (std::holds_alternative<std::int64_t>(*slot) &&
+               std::holds_alternative<double>(result)) {
+      result = static_cast<std::int64_t>(std::get<double>(result));
+    } else if (std::holds_alternative<double>(*slot) &&
+               std::holds_alternative<std::int64_t>(result)) {
+      result = static_cast<double>(std::get<std::int64_t>(result));
+    }
+    *slot = result;
+    return result;
+  }
+  AssignOp op;
+  P place;
+  X value;
+  bool typed;
+  Coerce co;
+};
+
+BinaryOp arith_op(AssignOp op) {
+  switch (op) {
+    case AssignOp::AddAssign: return BinaryOp::Add;
+    case AssignOp::SubAssign: return BinaryOp::Sub;
+    case AssignOp::MulAssign: return BinaryOp::Mul;
+    default: return BinaryOp::Div;
+  }
+}
+
+/// Assignment of a numeric-rep value to an int-typed target.
+struct AssignInt final : IntX {
+  AssignInt(AssignOp o, P p, X x, SourceLocation l)
+      : IntX(l), op(o), place(std::move(p)), value(std::move(x)) {}
+  std::int64_t i(Ctx& c) const override {
+    if (value->rep == Rep::Dbl) {
+      const double x = value->d(c);
+      Value keep;
+      Value* slot = place->addr(c, keep);
+      c.m.ops += kMemOp;
+      double result = x;
+      if (op != AssignOp::Assign) {
+        c.m.ops += kFloatOp;
+        result = arith(arith_op(op), load_d(*slot), x);
+      }
+      const auto stored = static_cast<std::int64_t>(result);
+      *slot = stored;
+      return stored;
+    }
+    const std::int64_t x = value->i(c);
+    Value keep;
+    Value* slot = place->addr(c, keep);
+    c.m.ops += kMemOp;
+    std::int64_t result = x;
+    if (op != AssignOp::Assign) {
+      c.m.ops += kIntOp;
+      if (op == AssignOp::DivAssign && x == 0)
+        throw InterpError(loc, "integer division by zero");
+      result = arith(arith_op(op), load_i(*slot), x, loc);
+    }
+    *slot = result;
+    return result;
+  }
+  AssignOp op;
+  P place;
+  X value;
+};
+
+/// Assignment of a numeric-rep value to a float- or double-typed target.
+struct AssignDbl final : DblX {
+  AssignDbl(AssignOp o, P p, X x, Coerce k, SourceLocation l)
+      : DblX(l), op(o), place(std::move(p)), value(std::move(x)), co(k) {}
+  double d(Ctx& c) const override {
+    if (op == AssignOp::Assign && value->rep == Rep::Int) {
+      // Converted straight from the integer: one rounding, as coerce().
+      const std::int64_t x = value->i(c);
+      Value keep;
+      Value* slot = place->addr(c, keep);
+      c.m.ops += kMemOp;
+      const double result = to_floating(co, x);
+      *slot = result;
+      return result;
+    }
+    const double x = value->d(c);
+    Value keep;
+    Value* slot = place->addr(c, keep);
+    c.m.ops += kMemOp;
+    double result = x;
+    if (op != AssignOp::Assign) {
+      c.m.ops += kFloatOp;
+      result = arith(arith_op(op), load_d(*slot), x);
+    }
+    result = to_floating(co, result);
+    *slot = result;
+    return result;
+  }
+  AssignOp op;
+  P place;
+  X value;
+  Coerce co;
+};
+
+// ---- calls and allocation --------------------------------------------------
+
+/// Evaluates call arguments, in order, into the first slots of `frame`.
+void eval_args(const std::vector<X>& args, Frame& frame, Ctx& c) {
+  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = args[k]->v(c);
+}
+
+struct MethodCall final : XNode {
+  MethodCall(X b, std::string name, std::string resolved, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Val, l), base(std::move(b)), callee(std::move(name)),
+        resolved_class(std::move(resolved)), args(std::move(a)) {}
+  Value v(Ctx& c) const override {
+    Frame frame(c.m, args.size());
+    eval_args(args, frame, c);
+    std::shared_ptr<Object> receiver;
+    if (base) {
+      const Value bv = base->v(c);
+      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+      if (!obj || !*obj) throw InterpError(loc, "method call on null/non-object");
+      receiver = *obj;
+    } else {
+      receiver = *c.self;
+    }
+    const std::string& cls = receiver ? receiver->class_name : resolved_class;
+    // Dispatch is on the runtime class (interface-typed receivers); the
+    // last target is cached.
+    if (!target || cached_class != cls) {
+      target = &c.m.lookup(cls, callee);
+      cached_class = cls;
+    }
+    return run_method(c.m, *target, receiver, frame, args.size());
+  }
+  X base;
+  std::string callee;
+  std::string resolved_class;
+  std::vector<X> args;
+  mutable const Method* target = nullptr;
+  mutable std::string cached_class;
+};
+
+/// Rectdomain `size()`, `lo()` and `hi()`.
+struct DomainAccessor final : IntX {
+  DomainAccessor(X b, std::string name, SourceLocation l)
+      : IntX(l), base(std::move(b)), callee(std::move(name)) {
+    pure = base->pure;
+  }
+  std::int64_t i(Ctx& c) const override {
+    const Value bv = base->v(c);
+    if (const auto* dom = std::get_if<RectDomainVal>(&bv)) {
+      if (callee == "size") return dom->size();
+      if (callee == "lo") return dom->lo;
+      if (callee == "hi") return dom->hi;
+    }
+    throw InterpError(loc, "bad intrinsic receiver");
+  }
+  X base;
+  std::string callee;
+};
+
+/// sqrt, floor, ceil, exp, log, sin, cos, pow, atan2 on numeric-rep args.
+struct MathCall final : DblX {
+  using Fn1 = double (*)(double);
+  using Fn2 = double (*)(double, double);
+  MathCall(Fn1 f, Fn2 g, double k, std::vector<X> a, SourceLocation l)
+      : DblX(l), fn1(f), fn2(g), cost(k), args(std::move(a)) {
+    pure = true;
+    for (const X& x : args) pure = pure && x->pure;
+  }
+  double d(Ctx& c) const override {
+    const double x = args[0]->d(c);
+    if (fn2) {
+      const double y = args[1]->d(c);
+      c.m.ops += cost;
+      return fn2(x, y);
+    }
+    c.m.ops += cost;
+    return fn1(x);
+  }
+  Fn1 fn1;
+  Fn2 fn2;
+  double cost;
+  std::vector<X> args;
+};
+
+/// min, max and abs on numeric-rep args; Int when no argument is
+/// floating.
+struct MinMaxAbs final : XNode {
+  MinMaxAbs(std::string name, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Int, l), callee(std::move(name)), args(std::move(a)) {
+    for (const X& x : args)
+      if (x->rep == Rep::Dbl || (callee == "abs" && x->rep == Rep::Bool)) rep = Rep::Dbl;
+    pure = true;
+    for (const X& x : args) pure = pure && x->pure;
+  }
+  Value v(Ctx& c) const override {
+    if (rep == Rep::Dbl) return d(c);
+    return i(c);
+  }
+  std::int64_t i(Ctx& c) const override {
+    if (rep == Rep::Dbl) return static_cast<std::int64_t>(d(c));
+    const std::int64_t x = args[0]->i(c);
+    if (callee == "abs") {
+      c.m.ops += 2.0 * kFloatOp;
+      return x < 0 ? wrap_sub(0, x) : x;
+    }
+    const std::int64_t y = args[1]->i(c);
+    c.m.ops += 2.0 * kFloatOp;
+    return callee == "min" ? std::min(x, y) : std::max(x, y);
+  }
+  double d(Ctx& c) const override {
+    if (rep == Rep::Int) return static_cast<double>(i(c));
+    const double x = args[0]->d(c);
+    if (callee == "abs") {
+      c.m.ops += 2.0 * kFloatOp;
+      return std::fabs(x);
+    }
+    const double y = args[1]->d(c);
+    c.m.ops += 2.0 * kFloatOp;
+    return callee == "min" ? std::min(x, y) : std::max(x, y);
+  }
+  std::string callee;
+  std::vector<X> args;
+};
+
+/// Intrinsic call on arguments of unknown representation.
+struct IntrinsicVal final : XNode {
+  IntrinsicVal(std::string name, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Val, l), callee(std::move(name)), args(std::move(a)) {}
+  Value v(Ctx& c) const override {
+    std::vector<Value> vals;
+    vals.reserve(args.size());
+    for (const X& x : args) vals.push_back(x->v(c));
+    auto arg_d = [&](std::size_t k) { return as_double(vals[k]); };
+    double& ops = c.m.ops;
+    if (callee == "sqrt") {
+      ops += 15.0 * kFloatOp;
+      return std::sqrt(arg_d(0));
+    }
+    if (callee == "abs") {
+      ops += 2.0 * kFloatOp;
+      if (const auto* k = std::get_if<std::int64_t>(&vals[0])) return *k < 0 ? wrap_sub(0, *k) : *k;
+      return std::fabs(arg_d(0));
+    }
+    if (callee == "min" || callee == "max") {
+      ops += 2.0 * kFloatOp;
+      const bool floating = std::holds_alternative<double>(vals[0]) ||
+                            std::holds_alternative<double>(vals[1]);
+      if (floating)
+        return callee == "min" ? std::min(arg_d(0), arg_d(1)) : std::max(arg_d(0), arg_d(1));
+      return callee == "min" ? std::min(as_int(vals[0]), as_int(vals[1]))
+                             : std::max(as_int(vals[0]), as_int(vals[1]));
+    }
+    if (callee == "floor") {
+      ops += 2.0 * kFloatOp;
+      return std::floor(arg_d(0));
+    }
+    if (callee == "ceil") {
+      ops += 2.0 * kFloatOp;
+      return std::ceil(arg_d(0));
+    }
+    ops += 30.0 * kFloatOp;
+    if (callee == "pow") return std::pow(arg_d(0), arg_d(1));
+    if (callee == "exp") return std::exp(arg_d(0));
+    if (callee == "log") return std::log(arg_d(0));
+    if (callee == "sin") return std::sin(arg_d(0));
+    if (callee == "cos") return std::cos(arg_d(0));
+    if (callee == "atan2") return std::atan2(arg_d(0), arg_d(1));
+    throw InterpError(loc, "unknown intrinsic '" + callee + "'");
+  }
+  std::string callee;
+  std::vector<X> args;
+};
+
+struct NewObject final : XNode {
+  NewObject(std::string cls, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Val, l), class_name(std::move(cls)), args(std::move(a)) {}
+  Value v(Ctx& c) const override {
+    Frame frame(c.m, args.size());
+    eval_args(args, frame, c);
+    c.m.ops += 4.0 * kMemOp;
+    if (!info) {
+      info = &c.m.class_info(class_name);
+      fields = default_fields(*info);
+    }
+    return construct_in(c.m, *info, fields, frame, args.size());
+  }
+  std::string class_name;
+  std::vector<X> args;
+  mutable const ClassInfo* info = nullptr;
+  mutable std::vector<Value> fields;  // default field values, copied per object
+};
+
+struct NewArray final : XNode {
+  NewArray(TypePtr elem, X n, SourceLocation l)
+      : XNode(Rep::Val, l), element_type(std::move(elem)), length(std::move(n)),
+        fill(Interpreter::default_value(element_type)) {}
+  Value v(Ctx& c) const override {
+    const std::int64_t n = length->i(c);
+    if (n < 0) throw InterpError(loc, "negative array length");
+    auto arr = std::make_shared<ArrayVal>();
+    arr->element_type = element_type;
+    arr->elems.assign(static_cast<std::size_t>(n), fill);
+    c.m.ops += 4.0 * kMemOp + 0.25 * static_cast<double>(n);
+    return arr;
+  }
+  TypePtr element_type;
+  X length;
+  Value fill;
+};
+
+struct RectdomainNode final : XNode {
+  RectdomainNode(X a, X b, SourceLocation l)
+      : XNode(Rep::Val, l), lo(std::move(a)), hi(std::move(b)) {
+    pure = !lo || (lo->pure && hi->pure);
+  }
+  Value v(Ctx& c) const override {
+    if (!lo) throw InterpError(loc, "only rank-1 rectdomains are executable");
+    RectDomainVal dom;
+    dom.lo = lo->i(c);
+    dom.hi = hi->i(c);
+    return dom;
+  }
+  X lo;  // null for rank != 1
+  X hi;
+};
+
+// ---- statements ----------------------------------------------------------------
+
+struct ExprStmtNode final : SNode {
+  explicit ExprStmtNode(X x) : expr(std::move(x)) {}
+  Flow run(Ctx& c) const override {
+    discard(*expr, c);
+    return Flow::Normal;
+  }
+  X expr;
+};
+
+/// Declaration into a local slot, or into the Env's current scope for
+/// the top level of code lowered against an Env (`named`).
+struct Decl final : SNode {
+  Decl(bool n, int s, X x, const TypePtr& type)
+      : named(n), slot(s), init(std::move(x)), target(rep_of(type)),
+        co(coerce_kind(type)), fill(Interpreter::default_value(type)) {}
+  Value value(Ctx& c) const {
+    if (!init) return fill;
+    if (target == Rep::Int && init->rep == Rep::Dbl)
+      return static_cast<std::int64_t>(init->d(c));
+    if (target == Rep::Int && init->rep == Rep::Int) return init->i(c);
+    if (target == Rep::Dbl && init->rep == Rep::Dbl) return to_floating(co, init->d(c));
+    if (target == Rep::Dbl && init->rep == Rep::Int) return to_floating(co, init->i(c));
+    Value v = init->v(c);
+    coerce(co, v);
+    return v;
+  }
+  Flow run(Ctx& c) const override {
+    if (named) {
+      c.env->declare_at(slot, value(c));
+    } else {
+      Value v = value(c);
+      c.fp[slot] = std::move(v);
+    }
+    c.m.ops += kMemOp;
+    return Flow::Normal;
+  }
+  bool named;
+  int slot;
+  X init;  // null: default value
+  Rep target;
+  Coerce co;
+  Value fill;
+};
+
+struct BlockNode final : SNode {
+  explicit BlockNode(std::vector<S> b) : body(std::move(b)) {}
+  Flow run(Ctx& c) const override {
+    for (const S& s : body) {
+      const Flow flow = s->run(c);
+      if (flow != Flow::Normal) return flow;
+    }
+    return Flow::Normal;
+  }
+  std::vector<S> body;
+};
+
+struct IfNode final : SNode {
+  IfNode(X k, S a, S b) : cond(std::move(k)), then_branch(std::move(a)), else_branch(std::move(b)) {}
+  Flow run(Ctx& c) const override {
+    c.m.ops += kBranchOp;
+    if (cond->b(c)) return then_branch->run(c);
+    if (else_branch) return else_branch->run(c);
+    return Flow::Normal;
+  }
+  X cond;
+  S then_branch;
+  S else_branch;  // may be null
+};
+
+struct WhileNode final : SNode {
+  WhileNode(X k, S b) : cond(std::move(k)), body(std::move(b)) {}
+  Flow run(Ctx& c) const override {
+    while (true) {
+      c.m.ops += kBranchOp;
+      if (!cond->b(c)) break;
+      const Flow flow = body->run(c);
+      if (flow == Flow::Break) break;
+      if (flow == Flow::Return) return flow;
+    }
+    return Flow::Normal;
+  }
+  X cond;
+  S body;
+};
+
+struct ForNode final : SNode {
+  ForNode(S i, X k, X st, S b) : init(std::move(i)), cond(std::move(k)), step(std::move(st)), body(std::move(b)) {}
+  Flow run(Ctx& c) const override {
+    if (init) init->run(c);
+    while (true) {
+      c.m.ops += kBranchOp;
+      if (cond && !cond->b(c)) break;
+      const Flow flow = body->run(c);
+      if (flow == Flow::Break) break;
+      if (flow == Flow::Return) return flow;
+      if (step) discard(*step, c);
+    }
+    return Flow::Normal;
+  }
+  S init;  // each may be null
+  X cond;
+  X step;
+  S body;
+};
+
+/// Runs `body` once per value of the loop variable in `var`; shared by
+/// foreach over index ranges and the sequential packet loop.
+Flow count_loop(Ctx& c, std::int64_t lo, std::int64_t hi, int var,
+                const SNode& body, double per_iteration) {
+  for (std::int64_t k = lo; k <= hi; ++k) {
+    c.m.ops += per_iteration;
+    c.fp[var] = k;
+    const Flow flow = body.run(c);
+    if (flow == Flow::Break) break;
+    if (flow == Flow::Return) return flow;
+  }
+  return Flow::Normal;
+}
+
+struct ForeachNode final : SNode {
+  ForeachNode(X dom, int v, S s, SourceLocation l) : domain(std::move(dom)), var(v), body(std::move(s)), loc(l) {}
+  Flow run(Ctx& c) const override {
+    const Value dom = domain->v(c);
+    if (const auto* range = std::get_if<RectDomainVal>(&dom))
+      return count_loop(c, range->lo, range->hi, var, *body, kBranchOp + kMemOp);
+    const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&dom);
+    if (!arr) throw InterpError(loc, "foreach domain is neither rectdomain nor array");
+    if (!*arr) throw InterpError(loc, "foreach over null array");
+    for (const Value& elem : (*arr)->elems) {
+      c.m.ops += kBranchOp + kMemOp;
+      c.fp[var] = elem;
+      const Flow flow = body->run(c);
+      if (flow == Flow::Break) break;
+      if (flow == Flow::Return) return flow;
+    }
+    return Flow::Normal;
+  }
+  X domain;
+  int var;
+  S body;
+  SourceLocation loc;
+};
+
+/// Reference semantics of a PipelinedLoop: the packet loop, sequentially.
+struct PipelinedNode final : SNode {
+  PipelinedNode(const PipelinedLoopStmt& s, X dom, int v, S b)
+      : loop(s), domain(std::move(dom)), var(v), body(std::move(b)) {}
+  Flow run(Ctx& c) const override {
+    if (c.m.hook && c.m.hook(loop, c.env ? *c.env : c.m.hook_env)) return Flow::Normal;
+    const Value dom = domain->v(c);
+    const auto* range = std::get_if<RectDomainVal>(&dom);
+    if (!range) throw InterpError(domain->loc, "expression is not a rectdomain");
+    return count_loop(c, range->lo, range->hi, var, *body, 0.0);
+  }
+  const PipelinedLoopStmt& loop;
+  X domain;
+  int var;
+  S body;
+};
+
+struct ReturnNode final : SNode {
+  explicit ReturnNode(X x) : value(std::move(x)) {}
+  Flow run(Ctx& c) const override {
+    c.m.ret = value ? value->v(c) : Value{};
+    return Flow::Return;
+  }
+  X value;  // may be null
+};
+
+struct Jump final : SNode {
+  explicit Jump(Flow f) : flow(f) {}
+  Flow run(Ctx&) const override { return flow; }
+  Flow flow;
+};
+
+struct RaiseStmt final : SNode {
+  RaiseStmt(std::string m, SourceLocation l) : message(std::move(m)), loc(l) {}
+  Flow run(Ctx&) const override { throw InterpError(loc, message); }
+  std::string message;
+  SourceLocation loc;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Lowering
+// ---------------------------------------------------------------------------
+
+class LoweredCode {
+ public:
+  // Slot indices are the Env's; call-target caches are the Machine's.
+  const Interpreter::Machine* machine = nullptr;
+  const Env* env = nullptr;
+  std::vector<S> stmts;
+  X expr;  // set when an expression was lowered
+  std::size_t frame_size = 0;
+  /// run(): a top-level return ends the program body.
+  bool stop_at_return = false;
+};
+
+namespace {
+
+/// Resolves every name to a slot once, in the dialect's lookup order:
+/// enclosing scopes, then (for code lowered against an Env) the Env's
+/// names, then runtime constants, then fields of the receiver.
+class Lowerer {
+ public:
+  Lowerer(Machine& m, Env* env, const ClassInfo* self)
+      : m_(m), env_(env), self_(self) {
+    scopes_.emplace_back();
+  }
+
+  int declare_local(const std::string& name, TypePtr type) {
+    const int slot = next_++;
+    scopes_.back()[name] = Binding{false, slot, std::move(type)};
+    return slot;
+  }
+  std::size_t frame_size() const { return static_cast<std::size_t>(next_); }
+
+  S stmt(const Stmt& s);
+  X expr(const Expr& e);
+
+ private:
+  struct Binding {
+    bool named;  // an Env slot; else a local frame slot
+    int slot;
+    TypePtr type;
+  };
+
+  const Binding* find(const std::string& name) const {
+    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+      auto found = it->find(name);
+      if (found != it->end()) return &found->second;
+    }
+    return nullptr;
+  }
+  /// Lowers `s` inside a fresh scope.
+  template <class F>
+  auto scoped(F&& f) {
+    scopes_.emplace_back();
+    auto result = f();
+    scopes_.pop_back();
+    return result;
+  }
+  X var_ref(const VarRef& ref);
+  P place(const Expr& target);
+  X call(const CallExpr& call);
+  std::vector<X> exprs(const std::vector<ExprPtr>& list) {
+    std::vector<X> out;
+    out.reserve(list.size());
+    for (const ExprPtr& e : list) out.push_back(expr(*e));
+    return out;
+  }
+  /// Field index of `field` in the class sema gave `base`; -1 if unknown.
+  const FieldInfo* static_field(const Expr& base, const std::string& field) const {
+    if (!base.type || !base.type->is_class()) return nullptr;
+    const ClassInfo* cls = m_.registry.find(base.type->class_name());
+    return cls ? cls->find_field(field) : nullptr;
+  }
+
+  Machine& m_;
+  Env* env_;
+  const ClassInfo* self_;
+  std::vector<std::unordered_map<std::string, Binding>> scopes_;
+  int next_ = 0;
+};
+
+X Lowerer::var_ref(const VarRef& ref) {
+  if (ref.name == "this") return std::make_unique<This>(ref.location);
+  if (const Binding* b = find(ref.name)) {
+    if (b->named)
+      return std::make_unique<NamedRead>(b->slot, ref.name, rep_of(b->type), ref.location);
+    return std::make_unique<LocalRead>(b->slot, rep_of(b->type), ref.location);
+  }
+  if (env_ && !(ref.is_runtime_define && !env_->has(ref.name))) {
+    return std::make_unique<NamedRead>(env_->index(ref.name), ref.name,
+                                       rep_of(ref.type), ref.location);
+  }
+  if (ref.is_runtime_define) {
+    auto it = m_.constants.find(ref.name);
+    if (it == m_.constants.end())
+      return std::make_unique<Raise>("unbound runtime constant '" + ref.name + "'",
+                                     ref.location);
+    return std::make_unique<IntConst>(it->second, ref.location);
+  }
+  if (self_) {
+    if (const FieldInfo* field = self_->find_field(ref.name))
+      return std::make_unique<ThisField>(field->index, ref.name, rep_of(field->type),
+                                         ref.location);
+  }
+  return std::make_unique<Raise>("undeclared variable '" + ref.name + "'", ref.location);
+}
+
+P Lowerer::place(const Expr& target) {
+  switch (target.kind) {
+    case NodeKind::VarRef: {
+      const std::string& name = static_cast<const VarRef&>(target).name;
+      if (const Binding* b = find(name)) {
+        if (b->named) return std::make_unique<NamedPlace>(b->slot, name, target.location);
+        return std::make_unique<LocalPlace>(b->slot);
+      }
+      if (env_) return std::make_unique<NamedPlace>(env_->index(name), name, target.location);
+      if (self_) {
+        if (const FieldInfo* field = self_->find_field(name))
+          return std::make_unique<ThisFieldPlace>(field->index, name, target.location);
+      }
+      return std::make_unique<RaisePlace>("undeclared variable '" + name + "'",
+                                          target.location);
+    }
+    case NodeKind::FieldAccess: {
+      const auto& access = static_cast<const FieldAccess&>(target);
+      const FieldInfo* field = static_field(*access.base, access.field);
+      return std::make_unique<FieldPlace>(expr(*access.base), field ? field->index : -1,
+                                          access.field, target.location);
+    }
+    case NodeKind::Index: {
+      const auto& index = static_cast<const IndexExpr&>(target);
+      return std::make_unique<IndexPlace>(expr(*index.base), expr(*index.indices[0]),
+                                          target.location);
+    }
+    default:
+      return std::make_unique<RaisePlace>("invalid assignment target", target.location);
+  }
+}
+
+X Lowerer::call(const CallExpr& call) {
+  const SourceLocation loc = call.location;
+  if (call.is_intrinsic && call.base)
+    return std::make_unique<DomainAccessor>(expr(*call.base), call.callee, loc);
+  std::vector<X> args = exprs(call.args);
+  if (!call.is_intrinsic) {
+    return std::make_unique<MethodCall>(call.base ? expr(*call.base) : nullptr, call.callee,
+                                        call.resolved_class, std::move(args), loc);
+  }
+  bool numeric = true;
+  for (const X& x : args) numeric = numeric && numeric_rep(x->rep);
+  const std::string& name = call.callee;
+  if (numeric && args.size() == 1) {
+    using Fn = MathCall::Fn1;
+    Fn fn = nullptr;
+    double cost = 30.0 * kFloatOp;
+    if (name == "sqrt") {
+      fn = [](double x) { return std::sqrt(x); };
+      cost = 15.0 * kFloatOp;
+    } else if (name == "floor") {
+      fn = [](double x) { return std::floor(x); };
+      cost = 2.0 * kFloatOp;
+    } else if (name == "ceil") {
+      fn = [](double x) { return std::ceil(x); };
+      cost = 2.0 * kFloatOp;
+    } else if (name == "exp") {
+      fn = [](double x) { return std::exp(x); };
+    } else if (name == "log") {
+      fn = [](double x) { return std::log(x); };
+    } else if (name == "sin") {
+      fn = [](double x) { return std::sin(x); };
+    } else if (name == "cos") {
+      fn = [](double x) { return std::cos(x); };
+    }
+    if (fn) return std::make_unique<MathCall>(fn, nullptr, cost, std::move(args), loc);
+    if (name == "abs") return std::make_unique<MinMaxAbs>(name, std::move(args), loc);
+  }
+  if (numeric && args.size() == 2) {
+    MathCall::Fn2 fn = nullptr;
+    if (name == "pow") fn = [](double x, double y) { return std::pow(x, y); };
+    if (name == "atan2") fn = [](double x, double y) { return std::atan2(x, y); };
+    if (fn) return std::make_unique<MathCall>(nullptr, fn, 30.0 * kFloatOp, std::move(args), loc);
+    if (name == "min" || name == "max")
+      return std::make_unique<MinMaxAbs>(name, std::move(args), loc);
+  }
+  return std::make_unique<IntrinsicVal>(name, std::move(args), loc);
+}
+
+X Lowerer::expr(const Expr& e) {
+  const SourceLocation loc = e.location;
+  switch (e.kind) {
+    case NodeKind::IntLit:
+      return std::make_unique<IntConst>(static_cast<const IntLit&>(e).value, loc);
+    case NodeKind::FloatLit:
+      return std::make_unique<DblConst>(static_cast<const FloatLit&>(e).value, loc);
+    case NodeKind::BoolLit:
+      return std::make_unique<BoolConst>(static_cast<const BoolLit&>(e).value, loc);
+    case NodeKind::StringLit:
+      return std::make_unique<ValConst>(static_cast<const StringLit&>(e).value, loc);
+    case NodeKind::NullLit:
+      return std::make_unique<ValConst>(std::monostate{}, loc);
+    case NodeKind::VarRef:
+      return var_ref(static_cast<const VarRef&>(e));
+    case NodeKind::FieldAccess: {
+      const auto& access = static_cast<const FieldAccess&>(e);
+      X base = expr(*access.base);
+      if (const FieldInfo* field = static_field(*access.base, access.field))
+        return std::make_unique<FieldRead>(std::move(base), field->index,
+                                           rep_of(field->type), loc);
+      const bool length = access.field == "length" && access.base->type &&
+                          access.base->type->is_array();
+      return std::make_unique<FieldDyn>(std::move(base), access.field,
+                                        length ? Rep::Int : Rep::Val, loc);
+    }
+    case NodeKind::Index: {
+      const auto& index = static_cast<const IndexExpr&>(e);
+      return std::make_unique<IndexRead>(expr(*index.base), expr(*index.indices[0]),
+                                         rep_of(e.type), loc);
+    }
+    case NodeKind::Unary: {
+      const auto& unary = static_cast<const UnaryExpr&>(e);
+      if (unary.op == UnaryOp::Neg) {
+        X operand = expr(*unary.operand);
+        switch (operand->rep) {
+          case Rep::Dbl: return std::make_unique<NegDbl>(std::move(operand), loc);
+          case Rep::Val: return std::make_unique<NegVal>(std::move(operand), loc);
+          default: return std::make_unique<NegInt>(std::move(operand), loc);
+        }
+      }
+      if (unary.op == UnaryOp::Not) return std::make_unique<Not>(expr(*unary.operand), loc);
+      const bool inc = unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PostInc;
+      const bool pre = unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec;
+      const Rep rep = rep_of(unary.operand->type);
+      return std::make_unique<IncDec>(place(*unary.operand), inc, pre,
+                                      rep == Rep::Int || rep == Rep::Dbl ? rep : Rep::Val, loc);
+    }
+    case NodeKind::Binary: {
+      const auto& binary = static_cast<const BinaryExpr&>(e);
+      X lhs = expr(*binary.lhs);
+      X rhs = expr(*binary.rhs);
+      if (binary.op == BinaryOp::And || binary.op == BinaryOp::Or)
+        return std::make_unique<Logical>(binary.op == BinaryOp::And, std::move(lhs),
+                                         std::move(rhs), loc);
+      if (!numeric_rep(lhs->rep) || !numeric_rep(rhs->rep))
+        return std::make_unique<BinaryVal>(binary.op, std::move(lhs), std::move(rhs), loc);
+      const bool floating = lhs->rep == Rep::Dbl || rhs->rep == Rep::Dbl;
+      if (is_comparison(binary.op))
+        return std::make_unique<Compare>(binary.op, floating, std::move(lhs), std::move(rhs), loc);
+      if (floating)
+        return std::make_unique<ArithDbl>(binary.op, std::move(lhs), std::move(rhs), loc);
+      return std::make_unique<ArithInt>(binary.op, std::move(lhs), std::move(rhs), loc);
+    }
+    case NodeKind::Assign: {
+      const auto& assign = static_cast<const AssignExpr&>(e);
+      X value = expr(*assign.value);
+      P target = place(*assign.target);
+      const TypePtr& type = assign.target->type;
+      const Rep rep = rep_of(type);
+      const bool numeric = value->rep == Rep::Int || value->rep == Rep::Dbl;
+      if (rep == Rep::Int && numeric)
+        return std::make_unique<AssignInt>(assign.op, std::move(target), std::move(value), loc);
+      if (rep == Rep::Dbl && numeric)
+        return std::make_unique<AssignDbl>(assign.op, std::move(target), std::move(value),
+                                           coerce_kind(type), loc);
+      return std::make_unique<AssignVal>(assign.op, std::move(target), std::move(value), type,
+                                         loc);
+    }
+    case NodeKind::Call:
+      return call(static_cast<const CallExpr&>(e));
+    case NodeKind::NewObject: {
+      const auto& alloc = static_cast<const NewObjectExpr&>(e);
+      return std::make_unique<NewObject>(alloc.class_name, exprs(alloc.args), loc);
+    }
+    case NodeKind::NewArray: {
+      const auto& alloc = static_cast<const NewArrayExpr&>(e);
+      return std::make_unique<NewArray>(alloc.element_type, expr(*alloc.length), loc);
+    }
+    case NodeKind::RectdomainLit: {
+      const auto& lit = static_cast<const RectdomainLit&>(e);
+      if (lit.dims.size() != 1) return std::make_unique<RectdomainNode>(nullptr, nullptr, loc);
+      return std::make_unique<RectdomainNode>(expr(*lit.dims[0].lo), expr(*lit.dims[0].hi), loc);
+    }
+    case NodeKind::Conditional: {
+      const auto& cond = static_cast<const ConditionalExpr&>(e);
+      X k = expr(*cond.cond);
+      X a = expr(*cond.then_value);
+      X b = expr(*cond.else_value);
+      const Rep rep = a->rep == b->rep ? a->rep : Rep::Val;
+      return std::make_unique<Conditional>(std::move(k), std::move(a), std::move(b), rep, loc);
+    }
+    default:
+      return std::make_unique<Raise>("unexpected expression node", loc);
+  }
+}
+
+S Lowerer::stmt(const Stmt& s) {
+  switch (s.kind) {
+    case NodeKind::VarDeclStmt: {
+      const auto& decl = static_cast<const VarDeclStmt&>(s);
+      X init = decl.init ? expr(*decl.init) : nullptr;
+      const bool named = env_ && scopes_.size() == 1;
+      const int slot = named ? env_->index(decl.name) : next_++;
+      scopes_.back()[decl.name] = Binding{named, slot, decl.declared_type};
+      return std::make_unique<Decl>(named, slot, std::move(init), decl.declared_type);
+    }
+    case NodeKind::ExprStmt:
+      return std::make_unique<ExprStmtNode>(expr(*static_cast<const ExprStmt&>(s).expr));
+    case NodeKind::Block:
+      return scoped([&] {
+        std::vector<S> body;
+        for (const StmtPtr& child : static_cast<const BlockStmt&>(s).statements)
+          body.push_back(stmt(*child));
+        return std::make_unique<BlockNode>(std::move(body));
+      });
+    case NodeKind::IfStmt: {
+      const auto& node = static_cast<const IfStmt&>(s);
+      X cond = expr(*node.cond);
+      S then_branch = stmt(*node.then_branch);
+      S else_branch = node.else_branch ? stmt(*node.else_branch) : nullptr;
+      return std::make_unique<IfNode>(std::move(cond), std::move(then_branch),
+                                      std::move(else_branch));
+    }
+    case NodeKind::WhileStmt: {
+      const auto& loop = static_cast<const WhileStmt&>(s);
+      X cond = expr(*loop.cond);
+      return std::make_unique<WhileNode>(std::move(cond), stmt(*loop.body));
+    }
+    case NodeKind::ForStmt: {
+      const auto& loop = static_cast<const ForStmt&>(s);
+      return scoped([&] {
+        S init = loop.init ? stmt(*loop.init) : nullptr;
+        X cond = loop.cond ? expr(*loop.cond) : nullptr;
+        X step = loop.step ? expr(*loop.step) : nullptr;
+        S body = stmt(*loop.body);
+        return std::make_unique<ForNode>(std::move(init), std::move(cond), std::move(step),
+                                         std::move(body));
+      });
+    }
+    case NodeKind::ForeachStmt: {
+      const auto& loop = static_cast<const ForeachStmt&>(s);
+      const Expr& domain = *loop.domain;
+      X dom = expr(domain);
+      TypePtr var_type;
+      if (domain.type && domain.type->is_rectdomain()) var_type = Type::primitive(PrimKind::Int);
+      if (domain.type && domain.type->is_array()) var_type = domain.type->element();
+      return scoped([&]() -> S {
+        const int var = declare_local(loop.var, var_type);
+        return std::make_unique<ForeachNode>(std::move(dom), var, stmt(*loop.body),
+                                             loop.location);
+      });
+    }
+    case NodeKind::PipelinedLoopStmt: {
+      const auto& loop = static_cast<const PipelinedLoopStmt&>(s);
+      X dom = expr(*loop.domain);
+      return scoped([&]() -> S {
+        const int var = declare_local(loop.var, Type::primitive(PrimKind::Int));
+        return std::make_unique<PipelinedNode>(loop, std::move(dom), var, stmt(*loop.body));
+      });
+    }
+    case NodeKind::ReturnStmt: {
+      const auto& ret = static_cast<const ReturnStmt&>(s);
+      return std::make_unique<ReturnNode>(ret.value ? expr(*ret.value) : nullptr);
+    }
+    case NodeKind::BreakStmt:
+      return std::make_unique<Jump>(Flow::Break);
+    case NodeKind::ContinueStmt:
+      return std::make_unique<Jump>(Flow::Continue);
+    default:
+      return std::make_unique<RaiseStmt>("unexpected statement node", s.location);
+  }
+}
+
+}  // namespace
+
+Method& Interpreter::Machine::method(const ClassInfo& cls, const MethodDecl& decl) {
+  auto found = methods.find(&decl);
+  if (found != methods.end()) return *found->second;
+  auto fn = std::make_unique<Method>();
+  fn->decl = &decl;
+  Lowerer lowerer(*this, nullptr, &cls);
+  for (const auto& param : decl.params) {
+    lowerer.declare_local(param->name, param->type);
+    fn->params.push_back(coerce_kind(param->type));
+  }
+  for (const StmtPtr& s : decl.body->statements) fn->body.push_back(lowerer.stmt(*s));
+  fn->frame_size = lowerer.frame_size();
+  return *methods.emplace(&decl, std::move(fn)).first->second;
+}
+
+// ---------------------------------------------------------------------------
+// Interpreter
+// ---------------------------------------------------------------------------
 
 Interpreter::Interpreter(const ClassRegistry& registry,
                          std::map<std::string, std::int64_t> runtime_constants)
-    : registry_(registry), runtime_constants_(std::move(runtime_constants)) {}
+    : m_(std::make_unique<Machine>(registry, std::move(runtime_constants))) {}
+
+Interpreter::~Interpreter() = default;
 
 Value Interpreter::default_value(const TypePtr& type) {
   if (!type) return std::monostate{};
@@ -159,662 +1955,95 @@ Value Interpreter::default_value(const TypePtr& type) {
   return std::monostate{};
 }
 
-const ClassInfo& Interpreter::class_info_or_throw(const std::string& name,
-                                                  SourceLocation loc) const {
-  const ClassInfo* info = registry_.find(name);
-  if (!info) throw InterpError(loc, "unknown class '" + name + "'");
-  return *info;
+namespace {
+
+std::shared_ptr<LoweredCode> lower_stmts(Machine& m, const std::vector<const Stmt*>& stmts,
+                                         Env& env) {
+  auto code = std::make_shared<LoweredCode>();
+  code->machine = &m;
+  code->env = &env;
+  Lowerer lowerer(m, &env, nullptr);
+  for (const Stmt* s : stmts) code->stmts.push_back(lowerer.stmt(*s));
+  code->frame_size = lowerer.frame_size();
+  return code;
 }
 
-int Interpreter::field_index_or_throw(const ClassInfo& cls,
-                                      const std::string& field,
-                                      SourceLocation loc) const {
-  const FieldInfo* info = cls.find_field(field);
-  if (!info)
-    throw InterpError(loc, "no field '" + field + "' in '" + cls.name + "'");
-  return info->index;
+}  // namespace
+
+std::shared_ptr<const LoweredCode> Interpreter::lower(
+    const std::vector<const Stmt*>& stmts, Env& env) {
+  return lower_stmts(*m_, stmts, env);
+}
+
+std::shared_ptr<const LoweredCode> Interpreter::lower(const Expr& expr, Env& env) {
+  auto code = std::make_shared<LoweredCode>();
+  code->machine = m_.get();
+  code->env = &env;
+  Lowerer lowerer(*m_, &env, nullptr);
+  code->expr = lowerer.expr(expr);
+  code->frame_size = lowerer.frame_size();
+  return code;
+}
+
+Value Interpreter::exec(const LoweredCode& code, Env& env) {
+  if (code.machine != m_.get() || code.env != &env)
+    throw std::logic_error("lowered code run by another interpreter or environment");
+  Frame frame(*m_, code.frame_size);
+  Ctx c{*m_, frame.data(), &env, &kNoSelf};
+  if (code.expr) return code.expr->v(c);
+  for (const S& s : code.stmts)
+    if (s->run(c) == Flow::Return && code.stop_at_return) break;
+  return Value{};
 }
 
 void Interpreter::exec_stmts(const std::vector<const Stmt*>& stmts, Env& env) {
-  for (const Stmt* s : stmts) exec_stmt(*s, env);
+  exec(*lower(stmts, env), env);
 }
 
 void Interpreter::exec_stmt(const Stmt& stmt, Env& env) {
-  Flow flow = exec_flow(stmt, env);
-  if (flow == Flow::Return) return;  // swallowed at top level
-}
-
-Interpreter::Flow Interpreter::exec_flow(const Stmt& stmt, Env& env) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      Value value = decl.init ? eval(*decl.init, env)
-                              : default_value(decl.declared_type);
-      env.declare(decl.name, coerce_store(decl.declared_type, std::move(value)));
-      count(kMemOp);
-      return Flow::Normal;
-    }
-    case NodeKind::ExprStmt:
-      eval(*static_cast<const ExprStmt&>(stmt).expr, env);
-      return Flow::Normal;
-    case NodeKind::Block: {
-      env.push();
-      Flow flow = Flow::Normal;
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements) {
-        flow = exec_flow(*s, env);
-        if (flow != Flow::Normal) break;
-      }
-      env.pop();
-      return flow;
-    }
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      count(kBranchOp);
-      if (as_bool(eval(*if_stmt.cond, env))) {
-        return exec_flow(*if_stmt.then_branch, env);
-      }
-      if (if_stmt.else_branch) return exec_flow(*if_stmt.else_branch, env);
-      return Flow::Normal;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      while (true) {
-        count(kBranchOp);
-        if (!as_bool(eval(*loop.cond, env))) break;
-        Flow flow = exec_flow(*loop.body, env);
-        if (flow == Flow::Break) break;
-        if (flow == Flow::Return) return flow;
-      }
-      return Flow::Normal;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      env.push();
-      if (loop.init) exec_flow(*loop.init, env);
-      Flow result = Flow::Normal;
-      while (true) {
-        count(kBranchOp);
-        if (loop.cond && !as_bool(eval(*loop.cond, env))) break;
-        Flow flow = exec_flow(*loop.body, env);
-        if (flow == Flow::Break) break;
-        if (flow == Flow::Return) {
-          result = flow;
-          break;
-        }
-        if (loop.step) eval(*loop.step, env);
-      }
-      env.pop();
-      return result;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      Value domain = eval(*loop.domain, env);
-      env.push();
-      Flow result = Flow::Normal;
-      if (const auto* dom = std::get_if<RectDomainVal>(&domain)) {
-        env.declare(loop.var, std::int64_t{0});
-        for (std::int64_t i = dom->lo; i <= dom->hi; ++i) {
-          count(kBranchOp + kMemOp);
-          env.assign(loop.var, i);
-          Flow flow = exec_flow(*loop.body, env);
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) {
-            result = flow;
-            break;
-          }
-        }
-      } else if (const auto* arr =
-                     std::get_if<std::shared_ptr<ArrayVal>>(&domain)) {
-        if (!*arr) throw InterpError(loop.location, "foreach over null array");
-        env.declare(loop.var, std::monostate{});
-        for (const Value& elem : (*arr)->elems) {
-          count(kBranchOp + kMemOp);
-          env.assign(loop.var, elem);
-          Flow flow = exec_flow(*loop.body, env);
-          if (flow == Flow::Break) break;
-          if (flow == Flow::Return) {
-            result = flow;
-            break;
-          }
-        }
-      } else {
-        throw InterpError(loop.location,
-                          "foreach domain is neither rectdomain nor array");
-      }
-      env.pop();
-      return result;
-    }
-    case NodeKind::PipelinedLoopStmt: {
-      const auto& loop = static_cast<const PipelinedLoopStmt&>(stmt);
-      if (hook_ && hook_(loop, env)) return Flow::Normal;
-      // Reference semantics: run the packet loop sequentially.
-      RectDomainVal domain = eval_domain(*loop.domain, env);
-      env.push();
-      env.declare(loop.var, std::int64_t{0});
-      for (std::int64_t p = domain.lo; p <= domain.hi; ++p) {
-        env.assign(loop.var, p);
-        Flow flow = exec_flow(*loop.body, env);
-        if (flow == Flow::Break) break;
-        if (flow == Flow::Return) {
-          env.pop();
-          return flow;
-        }
-      }
-      env.pop();
-      return Flow::Normal;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      return_value_ = ret.value ? eval(*ret.value, env) : Value{};
-      return Flow::Return;
-    }
-    case NodeKind::BreakStmt:
-      return Flow::Break;
-    case NodeKind::ContinueStmt:
-      return Flow::Continue;
-    default:
-      throw InterpError(stmt.location, "unexpected statement node");
-  }
-}
-
-RectDomainVal Interpreter::eval_domain(const Expr& expr, Env& env) {
-  Value v = eval(expr, env);
-  if (const auto* dom = std::get_if<RectDomainVal>(&v)) return *dom;
-  throw InterpError(expr.location, "expression is not a rectdomain");
-}
-
-Value* Interpreter::resolve_slot(const Expr& target, Env& env) {
-  switch (target.kind) {
-    case NodeKind::VarRef: {
-      const auto& ref = static_cast<const VarRef&>(target);
-      if (env.has(ref.name)) return &env.slot(ref.name);
-      if (current_this_) {
-        const ClassInfo& cls =
-            class_info_or_throw(current_this_->class_name, target.location);
-        if (const FieldInfo* field = cls.find_field(ref.name)) {
-          return &current_this_->fields[static_cast<std::size_t>(field->index)];
-        }
-      }
-      throw InterpError(target.location,
-                        "undeclared variable '" + ref.name + "'");
-    }
-    case NodeKind::FieldAccess: {
-      const auto& access = static_cast<const FieldAccess&>(target);
-      Value base = eval(*access.base, env);
-      auto* obj = std::get_if<std::shared_ptr<Object>>(&base);
-      if (!obj || !*obj) {
-        throw InterpError(target.location,
-                          "field store on null/non-object value");
-      }
-      const ClassInfo& cls =
-          class_info_or_throw((*obj)->class_name, target.location);
-      int index = field_index_or_throw(cls, access.field, target.location);
-      return &(*obj)->fields[static_cast<std::size_t>(index)];
-    }
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(target);
-      Value base = eval(*index.base, env);
-      auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&base);
-      if (!arr || !*arr) {
-        throw InterpError(target.location, "index store on null/non-array");
-      }
-      std::int64_t i = as_int(eval(*index.indices[0], env));
-      std::int64_t local = i - (*arr)->base_index;
-      if (local < 0 || local >= static_cast<std::int64_t>((*arr)->elems.size())) {
-        throw InterpError(target.location,
-                          "array index " + std::to_string(i) +
-                              " out of range [base " +
-                              std::to_string((*arr)->base_index) + ", size " +
-                              std::to_string((*arr)->elems.size()) + ")");
-      }
-      return &(*arr)->elems[static_cast<std::size_t>(local)];
-    }
-    default:
-      throw InterpError(target.location, "invalid assignment target");
-  }
+  exec(*lower({&stmt}, env), env);
 }
 
 Value Interpreter::eval(const Expr& expr, Env& env) {
-  switch (expr.kind) {
-    case NodeKind::IntLit:
-      return static_cast<const IntLit&>(expr).value;
-    case NodeKind::FloatLit:
-      return static_cast<const FloatLit&>(expr).value;
-    case NodeKind::BoolLit:
-      return static_cast<const BoolLit&>(expr).value;
-    case NodeKind::StringLit:
-      return static_cast<const StringLit&>(expr).value;
-    case NodeKind::NullLit:
-      return std::monostate{};
-    case NodeKind::VarRef: {
-      const auto& ref = static_cast<const VarRef&>(expr);
-      if (ref.name == "this") {
-        if (!current_this_)
-          throw InterpError(expr.location, "'this' outside of a method");
-        return current_this_;
-      }
-      if (env.has(ref.name)) return env.get(ref.name);
-      if (ref.is_runtime_define) {
-        auto it = runtime_constants_.find(ref.name);
-        if (it == runtime_constants_.end()) {
-          throw InterpError(expr.location,
-                            "unbound runtime constant '" + ref.name + "'");
-        }
-        return it->second;
-      }
-      if (current_this_) {
-        const ClassInfo& cls =
-            class_info_or_throw(current_this_->class_name, expr.location);
-        if (const FieldInfo* field = cls.find_field(ref.name)) {
-          count(kMemOp);
-          return current_this_->fields[static_cast<std::size_t>(field->index)];
-        }
-      }
-      throw InterpError(expr.location,
-                        "undeclared variable '" + ref.name + "'");
-    }
-    case NodeKind::FieldAccess: {
-      const auto& access = static_cast<const FieldAccess&>(expr);
-      Value base = eval(*access.base, env);
-      count(kMemOp);
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&base)) {
-        if (!*arr)
-          throw InterpError(expr.location, "field access on null array");
-        if (access.field == "length")
-          return static_cast<std::int64_t>((*arr)->elems.size());
-        throw InterpError(expr.location, "arrays only have 'length'");
-      }
-      auto* obj = std::get_if<std::shared_ptr<Object>>(&base);
-      if (!obj || !*obj)
-        throw InterpError(expr.location, "field access on null/non-object");
-      const ClassInfo& cls =
-          class_info_or_throw((*obj)->class_name, expr.location);
-      int index = field_index_or_throw(cls, access.field, expr.location);
-      return (*obj)->fields[static_cast<std::size_t>(index)];
-    }
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      Value base = eval(*index.base, env);
-      auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&base);
-      if (!arr || !*arr)
-        throw InterpError(expr.location, "indexing null/non-array");
-      std::int64_t i = as_int(eval(*index.indices[0], env));
-      std::int64_t local = i - (*arr)->base_index;
-      count(kMemOp + kIntOp);
-      if (local < 0 ||
-          local >= static_cast<std::int64_t>((*arr)->elems.size())) {
-        throw InterpError(expr.location,
-                          "array index " + std::to_string(i) +
-                              " out of range [base " +
-                              std::to_string((*arr)->base_index) + ", size " +
-                              std::to_string((*arr)->elems.size()) + ")");
-      }
-      return (*arr)->elems[static_cast<std::size_t>(local)];
-    }
-    case NodeKind::Unary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.op == UnaryOp::Neg) {
-        Value v = eval(*unary.operand, env);
-        if (std::holds_alternative<double>(v)) {
-          count(kFloatOp);
-          return -std::get<double>(v);
-        }
-        count(kIntOp);
-        return -as_int(v);
-      }
-      if (unary.op == UnaryOp::Not) {
-        count(kIntOp);
-        return !as_bool(eval(*unary.operand, env));
-      }
-      // Increment / decrement.
-      Value* slot = resolve_slot(*unary.operand, env);
-      count(kIntOp + kMemOp);
-      const bool inc =
-          unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PostInc;
-      const bool pre =
-          unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec;
-      if (std::holds_alternative<double>(*slot)) {
-        double old = std::get<double>(*slot);
-        *slot = old + (inc ? 1.0 : -1.0);
-        return pre ? *slot : Value{old};
-      }
-      std::int64_t old = as_int(*slot);
-      *slot = old + (inc ? 1 : -1);
-      return pre ? *slot : Value{old};
-    }
-    case NodeKind::Binary:
-      return eval_binary(static_cast<const BinaryExpr&>(expr), env);
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      Value value = eval(*assign.value, env);
-      Value* slot = resolve_slot(*assign.target, env);
-      count(kMemOp);
-      if (assign.op != AssignOp::Assign) {
-        const bool floating = std::holds_alternative<double>(*slot) ||
-                              std::holds_alternative<double>(value);
-        count(floating ? kFloatOp : kIntOp);
-        if (floating) {
-          double lhs = as_double(*slot);
-          double rhs = as_double(value);
-          switch (assign.op) {
-            case AssignOp::AddAssign: value = lhs + rhs; break;
-            case AssignOp::SubAssign: value = lhs - rhs; break;
-            case AssignOp::MulAssign: value = lhs * rhs; break;
-            case AssignOp::DivAssign: value = lhs / rhs; break;
-            default: break;
-          }
-        } else {
-          std::int64_t lhs = as_int(*slot);
-          std::int64_t rhs = as_int(value);
-          switch (assign.op) {
-            case AssignOp::AddAssign: value = lhs + rhs; break;
-            case AssignOp::SubAssign: value = lhs - rhs; break;
-            case AssignOp::MulAssign: value = lhs * rhs; break;
-            case AssignOp::DivAssign:
-              if (rhs == 0)
-                throw InterpError(expr.location, "integer division by zero");
-              value = lhs / rhs;
-              break;
-            default: break;
-          }
-        }
-      }
-      // Coerce to the declared type of the target (sema typed it); fall
-      // back to the slot's current representation when untyped.
-      if (assign.target->type) {
-        value = coerce_store(assign.target->type, std::move(value));
-      } else if (std::holds_alternative<std::int64_t>(*slot) &&
-                 std::holds_alternative<double>(value)) {
-        value = static_cast<std::int64_t>(std::get<double>(value));
-      } else if (std::holds_alternative<double>(*slot) &&
-                 std::holds_alternative<std::int64_t>(value)) {
-        value = static_cast<double>(std::get<std::int64_t>(value));
-      }
-      *slot = value;
-      return value;
-    }
-    case NodeKind::Call:
-      return eval_call(static_cast<const CallExpr&>(expr), env);
-    case NodeKind::NewObject: {
-      const auto& alloc = static_cast<const NewObjectExpr&>(expr);
-      std::vector<Value> args;
-      args.reserve(alloc.args.size());
-      for (const ExprPtr& a : alloc.args) args.push_back(eval(*a, env));
-      count(4.0 * kMemOp);
-      return construct(alloc.class_name, std::move(args));
-    }
-    case NodeKind::NewArray: {
-      const auto& alloc = static_cast<const NewArrayExpr&>(expr);
-      std::int64_t n = as_int(eval(*alloc.length, env));
-      if (n < 0) throw InterpError(expr.location, "negative array length");
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = alloc.element_type;
-      arr->elems.assign(static_cast<std::size_t>(n),
-                        default_value(alloc.element_type));
-      count(4.0 * kMemOp + 0.25 * static_cast<double>(n));
-      return arr;
-    }
-    case NodeKind::RectdomainLit: {
-      const auto& lit = static_cast<const RectdomainLit&>(expr);
-      if (lit.dims.size() != 1) {
-        throw InterpError(expr.location,
-                          "only rank-1 rectdomains are executable");
-      }
-      RectDomainVal dom;
-      dom.lo = as_int(eval(*lit.dims[0].lo, env));
-      dom.hi = as_int(eval(*lit.dims[0].hi, env));
-      return dom;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      count(kBranchOp);
-      return as_bool(eval(*cond.cond, env)) ? eval(*cond.then_value, env)
-                                            : eval(*cond.else_value, env);
-    }
-    default:
-      throw InterpError(expr.location, "unexpected expression node");
-  }
-}
-
-Value Interpreter::eval_binary(const BinaryExpr& expr, Env& env) {
-  // Short-circuit logical operators.
-  if (expr.op == BinaryOp::And) {
-    count(kBranchOp);
-    if (!as_bool(eval(*expr.lhs, env))) return false;
-    return as_bool(eval(*expr.rhs, env));
-  }
-  if (expr.op == BinaryOp::Or) {
-    count(kBranchOp);
-    if (as_bool(eval(*expr.lhs, env))) return true;
-    return as_bool(eval(*expr.rhs, env));
-  }
-
-  Value lhs = eval(*expr.lhs, env);
-  Value rhs = eval(*expr.rhs, env);
-
-  // Reference equality.
-  if ((expr.op == BinaryOp::Eq || expr.op == BinaryOp::Ne) &&
-      (std::holds_alternative<std::shared_ptr<Object>>(lhs) ||
-       std::holds_alternative<std::shared_ptr<Object>>(rhs) ||
-       is_null(lhs) || is_null(rhs))) {
-    count(kIntOp);
-    const auto* lo = std::get_if<std::shared_ptr<Object>>(&lhs);
-    const auto* ro = std::get_if<std::shared_ptr<Object>>(&rhs);
-    bool equal = (lo ? lo->get() : nullptr) == (ro ? ro->get() : nullptr) &&
-                 is_null(lhs) == is_null(rhs);
-    if (is_null(lhs) && is_null(rhs)) equal = true;
-    return expr.op == BinaryOp::Eq ? equal : !equal;
-  }
-
-  const bool floating = std::holds_alternative<double>(lhs) ||
-                        std::holds_alternative<double>(rhs);
-  if (is_comparison(expr.op)) {
-    count(kBranchOp + (floating ? kFloatOp - kIntOp : 0.0));
-    if (floating) {
-      double a = as_double(lhs);
-      double b = as_double(rhs);
-      switch (expr.op) {
-        case BinaryOp::Eq: return a == b;
-        case BinaryOp::Ne: return a != b;
-        case BinaryOp::Lt: return a < b;
-        case BinaryOp::Gt: return a > b;
-        case BinaryOp::Le: return a <= b;
-        case BinaryOp::Ge: return a >= b;
-        default: break;
-      }
-    } else {
-      std::int64_t a = as_int(lhs);
-      std::int64_t b = as_int(rhs);
-      switch (expr.op) {
-        case BinaryOp::Eq: return a == b;
-        case BinaryOp::Ne: return a != b;
-        case BinaryOp::Lt: return a < b;
-        case BinaryOp::Gt: return a > b;
-        case BinaryOp::Le: return a <= b;
-        case BinaryOp::Ge: return a >= b;
-        default: break;
-      }
-    }
-    throw InterpError(expr.location, "bad comparison");
-  }
-
-  // Division latency: float division is genuinely slow; integer div/mod by
-  // small (runtime-constant) operands is strength-reduced by a compiler.
-  const bool division = expr.op == BinaryOp::Div || expr.op == BinaryOp::Mod;
-  count(floating ? (division ? 8.0 * kFloatOp : kFloatOp)
-                 : (division ? 3.0 * kIntOp : kIntOp));
-  if (floating) {
-    double a = as_double(lhs);
-    double b = as_double(rhs);
-    switch (expr.op) {
-      case BinaryOp::Add: return a + b;
-      case BinaryOp::Sub: return a - b;
-      case BinaryOp::Mul: return a * b;
-      case BinaryOp::Div: return a / b;
-      case BinaryOp::Mod: return std::fmod(a, b);
-      default: break;
-    }
-  } else {
-    std::int64_t a = as_int(lhs);
-    std::int64_t b = as_int(rhs);
-    switch (expr.op) {
-      case BinaryOp::Add: return a + b;
-      case BinaryOp::Sub: return a - b;
-      case BinaryOp::Mul: return a * b;
-      case BinaryOp::Div:
-        if (b == 0) throw InterpError(expr.location, "division by zero");
-        return a / b;
-      case BinaryOp::Mod:
-        if (b == 0) throw InterpError(expr.location, "modulo by zero");
-        return a % b;
-      default: break;
-    }
-  }
-  throw InterpError(expr.location, "bad arithmetic");
-}
-
-Value Interpreter::eval_intrinsic(const CallExpr& expr,
-                                  std::vector<Value> args) {
-  const std::string& name = expr.callee;
-  auto arg_d = [&](std::size_t i) { return as_double(args[i]); };
-  if (name == "sqrt") {
-    count(15.0 * kFloatOp);
-    return std::sqrt(arg_d(0));
-  }
-  if (name == "abs") {
-    count(2.0 * kFloatOp);
-    if (std::holds_alternative<std::int64_t>(args[0]))
-      return std::abs(std::get<std::int64_t>(args[0]));
-    return std::fabs(arg_d(0));
-  }
-  if (name == "min" || name == "max") {
-    count(2.0 * kFloatOp);
-    const bool floating = std::holds_alternative<double>(args[0]) ||
-                          std::holds_alternative<double>(args[1]);
-    if (floating) {
-      return name == "min" ? std::min(arg_d(0), arg_d(1))
-                           : std::max(arg_d(0), arg_d(1));
-    }
-    return name == "min" ? std::min(as_int(args[0]), as_int(args[1]))
-                         : std::max(as_int(args[0]), as_int(args[1]));
-  }
-  if (name == "floor") {
-    count(2.0 * kFloatOp);
-    return std::floor(arg_d(0));
-  }
-  if (name == "ceil") {
-    count(2.0 * kFloatOp);
-    return std::ceil(arg_d(0));
-  }
-  count(30.0 * kFloatOp);
-  if (name == "pow") return std::pow(arg_d(0), arg_d(1));
-  if (name == "exp") return std::exp(arg_d(0));
-  if (name == "log") return std::log(arg_d(0));
-  if (name == "sin") return std::sin(arg_d(0));
-  if (name == "cos") return std::cos(arg_d(0));
-  if (name == "atan2") return std::atan2(arg_d(0), arg_d(1));
-  throw InterpError(expr.location, "unknown intrinsic '" + name + "'");
-}
-
-Value Interpreter::eval_call(const CallExpr& expr, Env& env) {
-  // Rectdomain accessors.
-  if (expr.is_intrinsic && expr.base) {
-    Value base = eval(*expr.base, env);
-    if (const auto* dom = std::get_if<RectDomainVal>(&base)) {
-      if (expr.callee == "size") return dom->size();
-      if (expr.callee == "lo") return dom->lo;
-      if (expr.callee == "hi") return dom->hi;
-    }
-    throw InterpError(expr.location, "bad intrinsic receiver");
-  }
-  std::vector<Value> args;
-  args.reserve(expr.args.size());
-  for (const ExprPtr& a : expr.args) args.push_back(eval(*a, env));
-  if (expr.is_intrinsic) return eval_intrinsic(expr, std::move(args));
-
-  std::shared_ptr<Object> receiver;
-  if (expr.base) {
-    Value base = eval(*expr.base, env);
-    auto* obj = std::get_if<std::shared_ptr<Object>>(&base);
-    if (!obj || !*obj)
-      throw InterpError(expr.location, "method call on null/non-object");
-    receiver = *obj;
-  } else {
-    receiver = current_this_;
-  }
-  const std::string& cls_name =
-      receiver ? receiver->class_name : expr.resolved_class;
-  return call_method(cls_name, expr.callee, receiver, std::move(args));
+  return exec(*lower(expr, env), env);
 }
 
 Value Interpreter::call_method(const std::string& class_name,
                                const std::string& method_name,
                                const std::shared_ptr<Object>& receiver,
                                std::vector<Value> args) {
-  const ClassInfo& cls = class_info_or_throw(class_name, {});
-  const MethodDecl* method = cls.find_method(method_name);
-  if (!method || !method->body) {
-    throw InterpError({}, "no executable method '" + class_name +
-                              "::" + method_name + "'");
-  }
-  if (method->params.size() != args.size()) {
-    throw InterpError(method->location,
-                      "arity mismatch calling '" + method_name + "'");
-  }
-  if (++call_depth_ > kMaxCallDepth) {
-    --call_depth_;
-    throw InterpError(method->location, "call depth limit exceeded");
-  }
-  count(2.0 * kBranchOp);
-
-  Env callee_env;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    callee_env.declare(method->params[i]->name,
-                       coerce_store(method->params[i]->type,
-                                    std::move(args[i])));
-  }
-  std::shared_ptr<Object> saved_this = current_this_;
-  current_this_ = receiver;
-  return_value_ = Value{};
-  for (const StmtPtr& s : method->body->statements) {
-    if (exec_flow(*s, callee_env) == Flow::Return) break;
-  }
-  current_this_ = saved_this;
-  --call_depth_;
-  return return_value_;
+  const Method& fn = m_->lookup(class_name, method_name);
+  Frame frame(*m_, args.size());
+  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = std::move(args[k]);
+  return run_method(*m_, fn, receiver, frame, args.size());
 }
 
 std::shared_ptr<Object> Interpreter::construct(const std::string& class_name,
                                                std::vector<Value> args) {
-  const ClassInfo& cls = class_info_or_throw(class_name, {});
-  auto obj = std::make_shared<Object>();
-  obj->class_name = class_name;
-  obj->fields.reserve(cls.fields.size());
-  for (const FieldInfo& field : cls.fields) {
-    obj->fields.push_back(default_value(field.type));
-  }
-  const MethodDecl* ctor = cls.constructor();
-  if (ctor && ctor->body) {
-    call_method(class_name, ctor->name, obj, std::move(args));
-  } else if (!args.empty()) {
-    throw InterpError({}, "class '" + class_name + "' has no constructor");
-  }
-  return obj;
+  const ClassInfo& cls = m_->class_info(class_name);
+  Frame frame(*m_, args.size());
+  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = std::move(args[k]);
+  return construct_in(*m_, cls, default_fields(cls), frame, args.size());
 }
 
-Env Interpreter::run(const std::string& class_name,
-                     const std::string& method_name) {
-  const ClassInfo& cls = class_info_or_throw(class_name, {});
-  const MethodDecl* method = cls.find_method(method_name);
-  if (!method || !method->body) {
-    throw InterpError({}, "no executable method '" + class_name +
-                              "::" + method_name + "'");
+Env Interpreter::run(const std::string& class_name, const std::string& method) {
+  const ClassInfo& cls = m_->class_info(class_name);
+  const MethodDecl* decl = cls.find_method(method);
+  if (!decl || !decl->body) {
+    throw InterpError({}, "no executable method '" + class_name + "::" + method + "'");
   }
+  std::vector<const Stmt*> body;
+  for (const StmtPtr& s : decl->body->statements) body.push_back(s.get());
   Env env;
-  for (const StmtPtr& s : method->body->statements) {
-    if (exec_flow(*s, env) == Flow::Return) break;
-  }
+  std::shared_ptr<LoweredCode> code = lower_stmts(*m_, body, env);
+  code->stop_at_return = true;
+  exec(*code, env);
   return env;
 }
+
+double Interpreter::ops() const { return m_->ops; }
+void Interpreter::reset_ops() { m_->ops = 0.0; }
+void Interpreter::add_external_ops(double n) { m_->ops += n; }
+void Interpreter::set_pipelined_hook(PipelinedHook hook) { m_->hook = std::move(hook); }
 
 }  // namespace cgp

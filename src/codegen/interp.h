@@ -1,18 +1,26 @@
-// Tree-walking interpreter for the cgpipe dialect.
+// Interpreter for the cgpipe dialect.
+//
+// Code is lowered once into a slot-resolved tree before it runs: names
+// become frame indices, fields become precomputed indices, runtime
+// constants are folded, and arithmetic on operands whose representation
+// sema fixes (int, float/double, boolean) runs unboxed, without variant
+// dispatch. Every evaluation step still charges the op counter with the
+// static cost model's weights, in the order of a plain AST walk, so
+// measured op counts are bit-identical to such a walk's.
 //
 // Used three ways:
 //   1. reference execution of whole programs (sequential oracle in tests);
 //   2. the bodies of compiler-generated executable filters (§5);
-//   3. measured operation counting — every evaluation step increments a
-//      weighted op counter with the same weights as the static model, so
-//      the pipeline simulator can time real executions.
+//   3. measured operation counting for the pipeline simulator.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ast/ast.h"
@@ -29,20 +37,21 @@ class InterpError : public std::runtime_error {
   SourceLocation location;
 };
 
-/// Lexical environment: a stack of scopes over named slots.
+/// Named bindings with nested scopes, stored flat: every name owns one slot
+/// for its whole life, so lowered code addresses it by index. A scope pushed
+/// over a bound name saves the outer binding and pop() restores it.
 class Env {
  public:
-  Env() { push(); }
+  void push() { marks_.push_back(trail_.size()); }
+  void pop();
 
-  void push() { scopes_.emplace_back(); }
-  void pop() { scopes_.pop_back(); }
-
-  void declare(const std::string& name, Value value);
+  /// Binds `name` in the innermost scope.
+  void declare(const std::string& name, Value value) {
+    declare_at(index(name), std::move(value));
+  }
   /// Declares into the outermost (base) scope — used by generated filters
   /// to persist per-packet values needed by the post-loop code.
-  void declare_global(const std::string& name, Value value) {
-    scopes_.front()[name] = std::move(value);
-  }
+  void declare_global(const std::string& name, Value value);
   /// Assignment to an existing binding (innermost wins); throws if absent.
   void assign(const std::string& name, Value value);
   bool has(const std::string& name) const;
@@ -52,20 +61,55 @@ class Env {
   /// Flat snapshot of the innermost bindings (outer scopes shadowed).
   std::map<std::string, Value> flatten() const;
 
+  // ---- slot interface for lowered code ----------------------------------
+  /// Slot of `name`, created unbound on first use. Stable for the Env's life.
+  int index(const std::string& name);
+  void declare_at(int slot, Value value);
+  bool bound(int slot) const { return depth_[static_cast<std::size_t>(slot)] >= 0; }
+  Value& at(int slot) { return values_[static_cast<std::size_t>(slot)]; }
+
  private:
-  std::vector<std::map<std::string, Value>> scopes_;
+  struct Saved {
+    int slot;
+    int depth;  // scope depth of the shadowed binding, -1 when unbound
+    Value value;
+  };
+  const Value* find(const std::string& name) const;
+
+  std::unordered_map<std::string, int> index_;
+  std::vector<std::string> names_;
+  std::vector<Value> values_;
+  std::vector<int> depth_;  // scope depth of each slot's binding, -1 unbound
+  std::vector<Saved> trail_;
+  std::vector<std::size_t> marks_;
 };
+
+/// Statements or one expression lowered against one Env; see
+/// Interpreter::lower.
+class LoweredCode;
 
 class Interpreter {
  public:
   Interpreter(const ClassRegistry& registry,
               std::map<std::string, std::int64_t> runtime_constants = {});
+  ~Interpreter();
+  Interpreter(const Interpreter&) = delete;
+  Interpreter& operator=(const Interpreter&) = delete;
 
-  void set_runtime_constant(const std::string& name, std::int64_t value) {
-    runtime_constants_[name] = value;
-  }
+  // ---- lowering ----------------------------------------------------------
+  /// Lowers `stmts` once for repeated runs against `env`: names the code
+  /// declares at its top level or reads free bind to `env` slots, so the
+  /// result runs only on this interpreter and that Env (exec throws
+  /// std::logic_error otherwise). The AST must outlive the result.
+  std::shared_ptr<const LoweredCode> lower(const std::vector<const Stmt*>& stmts,
+                                           Env& env);
+  std::shared_ptr<const LoweredCode> lower(const Expr& expr, Env& env);
+  /// Runs lowered code in `env`'s current scope; returns the expression's
+  /// value (null for statements). Control flow leaving a top-level
+  /// statement (break, return) moves on to the next one.
+  Value exec(const LoweredCode& code, Env& env);
 
-  // ---- execution ---------------------------------------------------------
+  // ---- one-shot execution (lowers, then runs) ----------------------------
   void exec_stmts(const std::vector<const Stmt*>& stmts, Env& env);
   void exec_stmt(const Stmt& stmt, Env& env);
   Value eval(const Expr& expr, Env& env);
@@ -84,47 +128,26 @@ class Interpreter {
   Env run(const std::string& class_name, const std::string& method);
 
   // ---- instrumentation ---------------------------------------------------
-  double ops() const { return ops_; }
-  void reset_ops() { ops_ = 0.0; }
+  double ops() const;
+  void reset_ops();
   /// Charges externally-incurred work (e.g. buffer packing) to this
   /// instance's op counter.
-  void add_external_ops(double n) { ops_ += n; }
+  void add_external_ops(double n);
 
   /// Hook intercepting PipelinedLoop execution; when unset the loop runs
   /// sequentially (the reference semantics). Receives the loop and the
   /// current env; return true if handled.
   using PipelinedHook =
       std::function<bool(const PipelinedLoopStmt&, Env&)>;
-  void set_pipelined_hook(PipelinedHook hook) { hook_ = std::move(hook); }
-
-  const ClassRegistry& registry() const { return registry_; }
+  void set_pipelined_hook(PipelinedHook hook);
 
   /// Default value for a declared type (0 / false / null).
   static Value default_value(const TypePtr& type);
 
+  struct Machine;  // execution state shared by all lowered code (interp.cpp)
+
  private:
-  enum class Flow { Normal, Break, Continue, Return };
-
-  Flow exec_flow(const Stmt& stmt, Env& env);
-  Value eval_binary(const BinaryExpr& expr, Env& env);
-  Value eval_call(const CallExpr& expr, Env& env);
-  Value eval_intrinsic(const CallExpr& expr, std::vector<Value> args);
-  Value* resolve_slot(const Expr& target, Env& env);
-  RectDomainVal eval_domain(const Expr& expr, Env& env);
-  const ClassInfo& class_info_or_throw(const std::string& name,
-                                       SourceLocation loc) const;
-  int field_index_or_throw(const ClassInfo& cls, const std::string& field,
-                           SourceLocation loc) const;
-
-  void count(double n) { ops_ += n; }
-
-  const ClassRegistry& registry_;
-  std::map<std::string, std::int64_t> runtime_constants_;
-  double ops_ = 0.0;
-  PipelinedHook hook_;
-  Value return_value_;
-  std::shared_ptr<Object> current_this_;
-  int call_depth_ = 0;
+  std::unique_ptr<Machine> m_;
 };
 
 }  // namespace cgp

@@ -108,6 +108,9 @@ DecompositionInput profile_decomposition_input(
                         plan_packing(model.req_comm[i], downstream,
                                      model.registry));
   }
+  std::vector<std::shared_ptr<const LoweredCode>> bodies;
+  for (const AtomicFilter& filter : model.filters)
+    bodies.push_back(interp.lower(filter.stmts, env));
   std::vector<ValueSet> all_cons;
   for (const SegmentSets& sets : model.sets) all_cons.push_back(sets.cons);
   PacketCodec input_codec(
@@ -128,7 +131,7 @@ DecompositionInput profile_decomposition_input(
     }
     for (std::size_t i = 0; i < n_filters; ++i) {
       const double before = interp.ops();
-      interp.exec_stmts(model.filters[i].stmts, env);
+      interp.exec(*bodies[i], env);
       input.task_ops[i] += interp.ops() - before;
       dc::Buffer probe;
       codecs[i].pack(env, resolve, probe);

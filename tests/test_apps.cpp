@@ -190,5 +190,48 @@ TEST(Apps, DecompReducesLinkVolume) {
   }
 }
 
+TEST(Apps, OpCountsArePinned) {
+  // Exact op counts of every paper app: the sequential oracle's total and,
+  // per stage of the width-1 DP placement, the measured packet and
+  // end-of-run (replica merge) ops. The simulated figures in EXPERIMENTS.md
+  // are computed from these counts, so any change to how the interpreter
+  // executes or charges code must leave them bit-identical.
+  struct Pinned {
+    apps::AppConfig config;
+    std::string main_class;
+    double oracle_ops;
+    std::vector<double> stage_ops;
+    std::vector<double> replica_ops;
+  };
+  const std::vector<Pinned> pinned = {
+      {apps::tiny_config(4096, 16), "Tiny", 0x1.e8efp+16,
+       {0x1.de34p+16, 0.0, 0x1.924p+12}, {0x1.984p+8, 0.0, 0x1.7p+3}},
+      {apps::isosurface_zbuffer_config(false), "IsoZBuffer", 0x1.860a2ap+25,
+       {0x1.1df68p+22, 0x1.fcef08p+21, 0x1.1d571p+21}, {0.0, 0.0, 0x1.803dp+15}},
+      {apps::isosurface_active_pixels_config(false), "IsoActivePixels", 0x1.6da09b8p+25,
+       {0x1.7756cp+21, 0x1.70e77p+20, 0x1.4677c8p+21}, {0.0, 0.0, 0x1.803dp+15}},
+      {apps::knn_config(3), "Knn", 0x1.27a9edp+22,
+       {0x1.f195ep+20, 0x1.36bbfp+19, 0x1.2f6p+13}, {0.0, 0x1.a34p+8, 0x1.7dp+8}},
+      {apps::vmscope_config(false), "VMScope", 0x1.599086p+23,
+       {0x1.217ap+18, 0.0, 0x1.255p+19}, {0.0, 0.0, 0x1.0e078p+16}},
+  };
+  for (const Pinned& p : pinned) {
+    DiagnosticEngine diags;
+    auto program = Parser::parse(p.config.source, diags);
+    SemaResult sema = Sema(*program, diags).run();
+    ASSERT_TRUE(sema.ok) << diags.render();
+    Interpreter interp(sema.registry, p.config.runtime_constants);
+    interp.run(p.main_class, "main");
+    EXPECT_EQ(interp.ops(), p.oracle_ops) << p.config.name;
+
+    CompileResult result = compile_app(p.config);
+    PipelineRunResult run =
+        result.make_runner(result.decomposition.placement, EnvironmentSpec::paper_cluster(1))
+            .run();
+    EXPECT_EQ(run.stage_ops, p.stage_ops) << p.config.name;
+    EXPECT_EQ(run.stage_replica_ops, p.replica_ops) << p.config.name;
+  }
+}
+
 }  // namespace
 }  // namespace cgp

@@ -1,5 +1,5 @@
 // Interpreter unit tests: evaluation, control flow, methods, reductions,
-// runtime errors, op counting.
+// runtime errors, op counting, Env scoping and lowered-code reuse.
 #include <gtest/gtest.h>
 
 #include "codegen/interp.h"
@@ -388,6 +388,132 @@ TEST(Interp, CompoundAssignment) {
   Env env = interp.run("A", "main");
   EXPECT_DOUBLE_EQ(get_double(env, "x"), 6.0);
   EXPECT_EQ(get_int(env, "y"), 10);
+}
+
+TEST(Interp, OpsChargedByRuntimeRepresentation) {
+  // `one()` is declared double but returns the int literal unconverted, so
+  // `one() * 3` is an integer multiply: the charge follows the values, not
+  // the declared types.
+  Fixture f = prepare(R"(
+    class A {
+      double one() { return 1; }
+      void main() {
+        int a = 3;
+        double b = a * 2.0;
+        int c = a / 2;
+        double e = one() * 3;
+      }
+    }
+  )");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  // decls 4 x 1.5, float mul 2, int div 3, call 2, int mul 1.
+  EXPECT_EQ(interp.ops(), 14.0);
+  EXPECT_EQ(env.get("e").index(), Value(0.0).index());
+  EXPECT_EQ(get_double(env, "e"), 3.0);
+}
+
+TEST(Interp, NestedScopesShadowAndRedeclare) {
+  Fixture f = prepare(R"(
+    class A {
+      void main() {
+        int x = 1;
+        int total = 0;
+        for (int i = 0; i < 3; i++) { int y = i * 2; total = total + y + x; }
+        for (int i = 0; i < 2; i++) { double y = i * 0.5; total = total + 1; }
+        { int z = 5; total = total + z; }
+        { int z = 7; total = total * z; }
+      }
+    }
+  )");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(get_int(env, "total"), 112);
+  // Only main's top-level names survive; loop and block locals do not.
+  const std::map<std::string, Value> finals = env.flatten();
+  EXPECT_EQ(finals.size(), 2u);
+  EXPECT_FALSE(env.has("i"));
+  EXPECT_FALSE(env.has("z"));
+}
+
+TEST(Interp, RuntimeErrorsCarrySourceLocation) {
+  Fixture f = prepare(
+      "class A { void main() { int[] xs = new int[3]; int v = xs[5]; } }");
+  Interpreter interp(f.registry);
+  try {
+    interp.run("A", "main");
+    FAIL() << "expected an InterpError";
+  } catch (const InterpError& e) {
+    EXPECT_STREQ(e.what(), "1:56: array index 5 out of range [base 0, size 3)");
+    EXPECT_EQ(e.location.line, 1);
+    EXPECT_EQ(e.location.column, 56);
+  }
+}
+
+TEST(Interp, EnvScopesRestoreShadowedBindings) {
+  Env env;
+  env.declare("a", Value{std::int64_t{1}});
+  env.push();
+  env.declare("a", Value{std::int64_t{2}});
+  env.declare("b", Value{std::int64_t{3}});
+  env.declare("b", Value{std::int64_t{4}});  // same scope: overwrite
+  EXPECT_EQ(get_int(env, "a"), 2);
+  // declare_global writes the base binding underneath the shadow, and
+  // binds names the base scope lacked.
+  env.declare_global("a", Value{std::int64_t{10}});
+  env.declare_global("b", Value{std::int64_t{20}});
+  env.assign("a", Value{std::int64_t{5}});
+  EXPECT_EQ(get_int(env, "a"), 5);
+  EXPECT_EQ(get_int(env, "b"), 4);
+  env.pop();
+  EXPECT_EQ(get_int(env, "a"), 10);
+  EXPECT_EQ(get_int(env, "b"), 20);
+  env.push();
+  env.declare("c", Value{std::int64_t{6}});
+  env.pop();
+  EXPECT_FALSE(env.has("c"));
+  EXPECT_THROW(env.get("c"), std::runtime_error);
+  EXPECT_THROW(env.assign("c", Value{}), std::runtime_error);
+  EXPECT_EQ(env.flatten().size(), 2u);
+}
+
+TEST(Interp, LoweredCodeRunsRepeatedlyAgainstItsEnv) {
+  // The generated filters' shape: lower the per-packet statements once,
+  // then run them in a fresh scope per packet.
+  Fixture f = prepare(R"(
+    class A {
+      void main() {
+        int total = 0;
+        PipelinedLoop (p in [0 : 3]) {
+          int sq = p * p;
+          total = total + sq;
+        }
+      }
+    }
+  )");
+  const MethodDecl* main = f.registry.find("A")->find_method("main");
+  const auto& body = main->body->statements;
+  const auto& loop = static_cast<const PipelinedLoopStmt&>(*body[1]);
+  std::vector<const Stmt*> packet;
+  for (const StmtPtr& s : static_cast<const BlockStmt&>(*loop.body).statements)
+    packet.push_back(s.get());
+
+  Interpreter interp(f.registry);
+  Env env;
+  interp.exec_stmt(*body[0], env);
+  auto code = interp.lower(packet, env);
+  for (std::int64_t p = 0; p <= 3; ++p) {
+    env.push();
+    env.declare("p", Value{p});
+    interp.exec(*code, env);
+    EXPECT_EQ(get_int(env, "sq"), p * p);
+    env.pop();
+  }
+  EXPECT_EQ(get_int(env, "total"), 14);
+  EXPECT_FALSE(env.has("sq"));
+
+  Env other;
+  EXPECT_THROW(interp.exec(*code, other), std::logic_error);
 }
 
 TEST(Interp, ShortCircuitEvaluation) {
