@@ -283,7 +283,7 @@ Cell run_cell(std::size_t payload, std::size_t batch) {
     config.batch_size = batch;
     PipelineRunner runner(std::move(groups), config);
     const auto start = std::chrono::steady_clock::now();
-    RunStats stats = runner.run();
+    support::PipelineTrace stats = runner.run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

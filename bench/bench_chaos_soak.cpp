@@ -141,7 +141,7 @@ Cell run_cell(int replicas, std::size_t interval) {
     policy.action = FaultAction::kRestartCopy;
     PipelineRunner runner(std::move(groups), config, policy);
     const auto start = std::chrono::steady_clock::now();
-    RunStats stats = runner.run();
+    support::PipelineTrace stats = runner.run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

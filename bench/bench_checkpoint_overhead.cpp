@@ -124,13 +124,13 @@ Cell run_cell(std::size_t payload, std::size_t interval) {
     policy.action = FaultAction::kRestartCopy;
     PipelineRunner runner(std::move(groups), config, policy);
     const auto start = std::chrono::steady_clock::now();
-    RunStats stats = runner.run();
+    support::PipelineTrace stats = runner.run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     if (seconds < cell.seconds) {
       cell.seconds = seconds;
-      cell.checkpoints = stats.group_metrics[1].checkpoints;
+      cell.checkpoints = stats.stage_metrics[1].checkpoints;
     }
   }
   cell.buffers_per_sec = static_cast<double>(buffers) / cell.seconds;

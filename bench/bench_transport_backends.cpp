@@ -156,7 +156,7 @@ Cell run_cell(TransportBackend backend, bool compute, std::size_t payload,
     config.backend = backend;
     PipelineRunner runner(std::move(groups), config);
     const auto start = std::chrono::steady_clock::now();
-    RunStats stats = runner.run();
+    support::PipelineTrace stats = runner.run();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

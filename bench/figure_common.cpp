@@ -72,13 +72,12 @@ double run_figure(const FigureSpec& spec) {
       // Measured bottleneck stage: where the runtime actually spent its
       // busy time (the paper's bottleneck-stage analysis, from live
       // counters rather than the simulator).
-      const support::PipelineTrace trace = run.trace();
-      const int bneck = trace.bottleneck_filter();
+      const int bneck = run.bottleneck_filter();
       std::string bneck_name = "-";
       double busy_share = 0.0;
       if (bneck >= 0 && run.wall_seconds > 0.0) {
         const support::FilterMetrics& f =
-            trace.filters[static_cast<std::size_t>(bneck)];
+            run.stage_metrics[static_cast<std::size_t>(bneck)];
         bneck_name = f.name;
         busy_share =
             100.0 * f.busy_seconds() / (run.wall_seconds * f.copies);
@@ -92,7 +91,7 @@ double run_figure(const FigureSpec& spec) {
                                              ? run.link_packet_bytes[1]
                                              : 0),
                   bneck_name.c_str(), busy_share);
-      if (cell.name == "Decomp-Comp") decomp_traces[width] = trace;
+      if (cell.name == "Decomp-Comp") decomp_traces[width] = run;
     }
   }
 
@@ -101,10 +100,11 @@ double run_figure(const FigureSpec& spec) {
   std::printf("%-8s %-8s %7s %10s %10s %10s %9s %9s\n", "width", "stage",
               "pkts", "busy(s)", "stall_in", "stall_out", "lat_mean", "hiwater");
   for (const auto& [width, trace] : decomp_traces) {
-    for (std::size_t s = 0; s < trace.filters.size(); ++s) {
-      const support::FilterMetrics& f = trace.filters[s];
-      const std::int64_t hiwater =
-          s < trace.links.size() ? trace.links[s].occupancy_high_water : 0;
+    for (std::size_t s = 0; s < trace.stage_metrics.size(); ++s) {
+      const support::FilterMetrics& f = trace.stage_metrics[s];
+      std::int64_t hiwater = 0;
+      if (s < trace.link_metrics.size())
+        hiwater = trace.link_metrics[s].occupancy_high_water;
       std::printf("%-8d %-8s %7lld %10.4f %10.4f %10.4f %9.2e %9lld\n", width,
                   f.name.c_str(),
                   static_cast<long long>(

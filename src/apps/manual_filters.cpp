@@ -488,8 +488,7 @@ PipelineRunResult run_pipeline(std::vector<dc::FilterGroup> groups,
   shared->result.link_replica_bytes.assign(
       static_cast<std::size_t>(stages - 1), 0);
   dc::PipelineRunner runner(std::move(groups));
-  dc::RunStats stats = runner.run();
-  shared->result.wall_seconds = stats.wall_seconds;
+  shared->result.adopt_trace(runner.run());
   return shared->result;
 }
 

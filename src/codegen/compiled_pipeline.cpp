@@ -1,7 +1,6 @@
 #include "codegen/compiled_pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "codegen/serialize.h"
@@ -370,26 +369,6 @@ std::vector<double> PipelineRunResult::mean_stage_ops() const {
   return out;
 }
 
-support::PipelineTrace PipelineRunResult::trace() const {
-  support::PipelineTrace trace;
-  trace.wall_seconds = wall_seconds;
-  trace.packets = packets;
-  trace.filters = stage_metrics;
-  trace.links = link_metrics;
-  trace.faults = faults;
-  trace.fault_policy = fault_policy;
-  trace.batch_size = batch_size;
-  trace.pool = pool;
-  trace.stage_replicas = stage_replicas;
-  trace.checkpoints = checkpoints;
-  trace.respawns = respawns;
-  trace.heartbeats = heartbeats;
-  trace.degraded = degraded;
-  trace.completed = completed;
-  trace.error = error;
-  return trace;
-}
-
 std::vector<double> PipelineRunResult::mean_link_bytes() const {
   std::vector<double> out(link_packet_bytes.size(), 0.0);
   if (packets <= 0) return out;
@@ -397,6 +376,12 @@ std::vector<double> PipelineRunResult::mean_link_bytes() const {
     out[i] = static_cast<double>(link_packet_bytes[i]) /
              static_cast<double>(packets);
   return out;
+}
+
+void PipelineRunResult::adopt_trace(support::PipelineTrace trace) {
+  const std::int64_t source_packets = packets;
+  static_cast<support::PipelineTrace&>(*this) = std::move(trace);
+  packets = source_packets;
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,98 +1060,54 @@ PipelineRunResult PipelineCompiler::run() {
   shared->result.link_packet_bytes.assign(static_cast<std::size_t>(m - 1), 0);
   shared->result.link_replica_bytes.assign(static_cast<std::size_t>(m - 1), 0);
 
-  std::vector<dc::FilterGroup> groups = build_groups(shared);
-  shared->result.stage_replicas.assign(static_cast<std::size_t>(m), 1);
-  for (int s = 0; s < m; ++s)
-    shared->result.stage_replicas[static_cast<std::size_t>(s)] =
-        groups[static_cast<std::size_t>(s)].copies;
-  dc::PipelineRunner runner(std::move(groups), config_, policy_);
-  if (hook_) runner.set_packet_hook(hook_);
-  if (checkpoint_hook_) runner.set_checkpoint_hook(checkpoint_hook_);
-  if (marker_hook_) runner.set_marker_hook(marker_hook_);
+  dc::PipelineRunner runner(build_groups(shared), config_, policy_);
+  runner.set_hooks(hooks_);
   // Multi-process backends: each StageFilter publishes its telemetry into
   // the Shared of its own process, so the worker-side slice (stage ops,
   // link bytes, source packet count) must cross the control plane or the
   // supervisor's result would report zeros for every forked group. The
   // exporter runs in the worker after its group finalizes; the importer
-  // folds each blob back here. Fixed little-endian layout:
+  // folds each blob back here. Layout, in dc::Buffer encoding:
   // [f64 stage_ops][f64 stage_replica_ops][i64 link_packet_bytes]
   // [i64 link_replica_bytes][i64 packets], unused fields zero.
+  constexpr std::size_t kGroupStateBytes =
+      2 * sizeof(double) + 3 * sizeof(std::int64_t);
   runner.set_group_state_codec(
       [shared](std::size_t gi) {
         std::lock_guard lock(shared->mutex);
         const PipelineRunResult& r = shared->result;
-        double ops = 0.0, replica_ops = 0.0;
-        std::int64_t link_bytes = 0, replica_bytes = 0, packets = 0;
-        if (gi < r.stage_ops.size()) {
-          ops = r.stage_ops[gi];
-          replica_ops = r.stage_replica_ops[gi];
-        }
-        if (gi < r.link_packet_bytes.size()) {
-          link_bytes = r.link_packet_bytes[gi];
-          replica_bytes = r.link_replica_bytes[gi];
-        }
-        if (gi == 0) packets = r.packets;
-        std::vector<std::byte> blob(2 * sizeof(double) +
-                                    3 * sizeof(std::int64_t));
-        std::byte* p = blob.data();
-        std::memcpy(p, &ops, sizeof ops);
-        p += sizeof ops;
-        std::memcpy(p, &replica_ops, sizeof replica_ops);
-        p += sizeof replica_ops;
-        std::memcpy(p, &link_bytes, sizeof link_bytes);
-        p += sizeof link_bytes;
-        std::memcpy(p, &replica_bytes, sizeof replica_bytes);
-        p += sizeof replica_bytes;
-        std::memcpy(p, &packets, sizeof packets);
-        return blob;
+        const bool has_link = gi < r.link_packet_bytes.size();
+        dc::Buffer b(kGroupStateBytes);
+        b.write<double>(r.stage_ops[gi]);
+        b.write<double>(r.stage_replica_ops[gi]);
+        b.write<std::int64_t>(has_link ? r.link_packet_bytes[gi] : 0);
+        b.write<std::int64_t>(has_link ? r.link_replica_bytes[gi] : 0);
+        b.write<std::int64_t>(gi == 0 ? r.packets : 0);
+        return std::vector<std::byte>(b.data(), b.data() + b.size());
       },
       [shared](std::size_t gi, const std::vector<std::byte>& blob) {
-        if (blob.size() != 2 * sizeof(double) + 3 * sizeof(std::int64_t))
+        if (blob.size() != kGroupStateBytes)
           throw std::runtime_error(
               "compiled pipeline: malformed group-state blob for group " +
               std::to_string(gi));
-        double ops = 0.0, replica_ops = 0.0;
-        std::int64_t link_bytes = 0, replica_bytes = 0, packets = 0;
-        const std::byte* p = blob.data();
-        std::memcpy(&ops, p, sizeof ops);
-        p += sizeof ops;
-        std::memcpy(&replica_ops, p, sizeof replica_ops);
-        p += sizeof replica_ops;
-        std::memcpy(&link_bytes, p, sizeof link_bytes);
-        p += sizeof link_bytes;
-        std::memcpy(&replica_bytes, p, sizeof replica_bytes);
-        p += sizeof replica_bytes;
-        std::memcpy(&packets, p, sizeof packets);
+        dc::Buffer b(blob.size());
+        b.write_bytes(blob.data(), blob.size());
         std::lock_guard lock(shared->mutex);
         PipelineRunResult& r = shared->result;
-        if (gi < r.stage_ops.size()) {
-          r.stage_ops[gi] += ops;
-          r.stage_replica_ops[gi] += replica_ops;
-        }
+        r.stage_ops[gi] += b.read<double>();
+        r.stage_replica_ops[gi] += b.read<double>();
+        const std::int64_t link_bytes = b.read<std::int64_t>();
+        const std::int64_t replica_bytes = b.read<std::int64_t>();
         if (gi < r.link_packet_bytes.size()) {
           r.link_packet_bytes[gi] += link_bytes;
           r.link_replica_bytes[gi] += replica_bytes;
         }
-        if (gi == 0) r.packets += packets;
+        r.packets += b.read<std::int64_t>();
       });
   dc::RunOutcome outcome = runner.run_supervised();
   if (outcome.error && policy_.action == dc::FaultAction::kFailFast)
     std::rethrow_exception(outcome.error);
-  dc::RunStats& stats = outcome.stats;
-  shared->result.wall_seconds = stats.wall_seconds;
-  shared->result.stage_metrics = std::move(stats.group_metrics);
-  shared->result.link_metrics = std::move(stats.link_metrics);
-  shared->result.faults = std::move(stats.faults);
-  shared->result.fault_policy = stats.fault_policy;
-  shared->result.batch_size = stats.batch_size;
-  shared->result.pool = stats.pool;
-  shared->result.checkpoints = std::move(stats.checkpoints);
-  shared->result.respawns = std::move(stats.respawns);
-  shared->result.heartbeats = std::move(stats.heartbeats);
-  shared->result.degraded = stats.degraded;
-  shared->result.completed = stats.completed;
-  shared->result.error = stats.error;
+  shared->result.adopt_trace(std::move(outcome.stats));
   return shared->result;
 }
 

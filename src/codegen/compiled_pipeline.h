@@ -66,52 +66,26 @@ struct StagePlan {
   bool relay = false;                  // no filters: forward buffers
 };
 
-/// Shared sink-side results and measured telemetry.
-struct PipelineRunResult {
+/// One compiled run: the runtime's trace of it (faults, metrics, pool,
+/// cuts, respawns, disposition; see support/metrics.h) plus the sink's
+/// final bindings and the per-stage inputs of the pipeline simulator.
+/// `packets` counts the packets the sources generated; `finals` may be
+/// partial when !completed.
+struct PipelineRunResult : support::PipelineTrace {
   std::map<std::string, Value> finals;  // sink bindings after post-loop code
   // Measured per-run telemetry (for the simulator).
-  std::int64_t packets = 0;
   std::vector<double> stage_ops;          // total packet ops per stage
+  std::vector<double> stage_replica_ops;  // end-of-run merge/setup ops
   std::vector<std::int64_t> link_packet_bytes;
   std::vector<std::int64_t> link_replica_bytes;
-  std::vector<double> stage_replica_ops;  // end-of-run merge/setup ops
-  double wall_seconds = 0.0;
-  /// Observability counters harvested from the DataCutter runtime: per
-  /// stage (aggregated over copies) and per link. See support/metrics.h.
-  std::vector<support::FilterMetrics> stage_metrics;
-  std::vector<support::LinkMetrics> link_metrics;
-  /// Fault-tolerance surface (docs/ROBUSTNESS.md): every fault the
-  /// supervisor observed, the policy in force, and whether the run reached
-  /// normal end-of-stream. `finals` may be partial when !completed.
-  std::vector<support::FaultRecord> faults;
-  std::string fault_policy;
-  /// Transport telemetry: configured coalescing factor and buffer-pool
-  /// effectiveness for this run (docs/PERFORMANCE.md).
-  std::int64_t batch_size = 1;
-  support::PoolMetrics pool;
-  /// Transparent copies each stage actually ran with (replica plan or the
-  /// environment fallback) — serialized as cgpipe-trace-v4 stage_replicas.
-  std::vector<int> stage_replicas;
-  /// Run-level consistent cuts completed during the run (empty unless
-  /// run-level checkpointing was enabled; docs/ROBUSTNESS.md).
-  std::vector<support::CheckpointRecord> checkpoints;
-  /// Self-healing surface (docs/ROBUSTNESS.md, self-healing runs): every
-  /// worker respawn with its MTTR, per-stage heartbeat telemetry, and
-  /// whether the run ended degraded (restart budget exhausted; `finals`
-  /// then hold the surviving stages' partial result and `error` names the
-  /// exhausted stage, but nothing is thrown).
-  std::vector<support::RespawnRecord> respawns;
-  std::vector<support::HeartbeatMetrics> heartbeats;
-  bool degraded = false;
-  bool completed = true;
-  std::string error;
 
   /// Uniform per-packet trace + epilogue for the pipeline simulator.
   std::vector<double> mean_stage_ops() const;
   std::vector<double> mean_link_bytes() const;
 
-  /// Serializable observability trace of this run (--trace output).
-  support::PipelineTrace trace() const;
+  /// Takes the runner's trace of the run, keeping the source count the
+  /// pipeline's own filters kept in `packets`.
+  void adopt_trace(support::PipelineTrace trace);
 };
 
 /// Extra ops charged for buffer handling, emulating the DataCutter copy /
@@ -144,15 +118,15 @@ class PipelineCompiler {
   const dc::FaultPolicy& fault_policy() const { return policy_; }
   /// Per-packet fault-injection hook forwarded to the runner (stage groups
   /// are named "stage<N>").
-  void set_packet_hook(dc::PacketHook hook) { hook_ = std::move(hook); }
+  void set_packet_hook(dc::PacketHook hook) { hooks_.packet = std::move(hook); }
   /// Pre-snapshot fault-injection hook forwarded to the runner (the @ckpt
   /// trigger; see support/faultinject.h).
   void set_checkpoint_hook(dc::CheckpointHook hook) {
-    checkpoint_hook_ = std::move(hook);
+    hooks_.checkpoint = std::move(hook);
   }
   /// Run-level marker fault-injection hook forwarded to the runner (the
   /// @markN trigger; see support/faultinject.h).
-  void set_marker_hook(dc::MarkerHook hook) { marker_hook_ = std::move(hook); }
+  void set_marker_hook(dc::MarkerHook hook) { hooks_.marker = std::move(hook); }
   /// Transport tuning forwarded to the generated pipeline's runner: stream
   /// capacity, packet batching, buffer pooling.
   void set_runner_config(const dc::RunnerConfig& config) { config_ = config; }
@@ -178,9 +152,7 @@ class PipelineCompiler {
   PackCost pack_cost_;
   dc::FaultPolicy policy_;
   dc::RunnerConfig config_;
-  dc::PacketHook hook_;
-  dc::CheckpointHook checkpoint_hook_;
-  dc::MarkerHook marker_hook_;
+  dc::RunHooks hooks_;
   std::vector<StagePlan> plans_;
 };
 

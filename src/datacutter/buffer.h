@@ -61,6 +61,7 @@ class Buffer {
     std::memcpy(data_.data() + offset, &value, sizeof(T));
   }
   void write_bytes(const void* src, std::size_t n) {
+    if (n == 0) return;  // src may be null; memcpy must not see it
     const std::size_t offset = data_.size();
     data_.resize(offset + n);
     std::memcpy(data_.data() + offset, src, n);
@@ -114,6 +115,7 @@ class Buffer {
   void read_bytes(void* dst, std::size_t n) {
     if (read_pos_ + n > data_.size())
       throw std::out_of_range("Buffer::read_bytes past end");
+    if (n == 0) return;  // dst and data() may be null
     std::memcpy(dst, data_.data() + read_pos_, n);
     read_pos_ += n;
   }

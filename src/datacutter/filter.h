@@ -364,11 +364,6 @@ class FilterContext {
   }
   std::size_t unread_count() const { return incoming_.size() - incoming_next_; }
 
-  /// Instrumentation: abstract operations this instance performed (used by
-  /// the pipeline simulator to time the run on a configured environment).
-  void add_ops(double n) { ops_ += n; }
-  double ops() const { return ops_; }
-
   /// Snapshot of this instance's counters (total/busy time are filled in by
   /// the runner, which owns the instance's lifetime window).
   support::FilterMetrics metrics() const {
@@ -410,7 +405,6 @@ class FilterContext {
   std::vector<Buffer> pending_;    // emitted, not yet pushed downstream
   std::vector<Buffer> incoming_;   // popped, not yet served to read()
   std::size_t incoming_next_ = 0;  // first unread slot of incoming_
-  double ops_ = 0.0;
   std::int64_t packets_in_ = 0;
   std::int64_t packets_out_ = 0;
   std::int64_t bytes_in_ = 0;

@@ -111,6 +111,22 @@ std::string resume_mismatch_diff(const std::vector<FilterGroup>& groups,
 
 }  // namespace
 
+support::PipelineTrace detail::trace_skeleton(
+    const std::vector<FilterGroup>& groups, const RunnerConfig& config,
+    const FaultPolicy& policy) {
+  support::PipelineTrace trace;
+  trace.fault_policy = FaultPolicy::action_name(policy.action);
+  trace.batch_size = static_cast<std::int64_t>(config.batch_size);
+  for (const FilterGroup& g : groups) {
+    trace.stage_metrics.emplace_back().name = g.name;
+    trace.stage_replicas.push_back(g.copies);
+  }
+  trace.link_metrics.resize(groups.size() - 1);
+  for (support::LinkMetrics& link : trace.link_metrics)
+    link.transport = backend_name(config.backend);
+  return trace;
+}
+
 const char* FaultPolicy::action_name(FaultAction action) {
   switch (action) {
     case FaultAction::kFailFast:
@@ -128,39 +144,6 @@ std::optional<FaultAction> FaultPolicy::parse_action(std::string_view name) {
   if (name == "restart-copy") return FaultAction::kRestartCopy;
   if (name == "drop-packet") return FaultAction::kDropPacket;
   return std::nullopt;
-}
-
-std::int64_t RunStats::total_retries() const {
-  std::int64_t n = 0;
-  for (const support::FilterMetrics& m : group_metrics) n += m.retries;
-  return n;
-}
-
-std::int64_t RunStats::total_dropped_packets() const {
-  std::int64_t n = 0;
-  for (const support::FilterMetrics& m : group_metrics)
-    n += m.dropped_packets;
-  return n;
-}
-
-support::PipelineTrace RunStats::trace() const {
-  support::PipelineTrace trace;
-  trace.wall_seconds = wall_seconds;
-  trace.filters = group_metrics;
-  trace.links = link_metrics;
-  trace.faults = faults;
-  trace.fault_policy = fault_policy;
-  trace.batch_size = batch_size;
-  trace.pool = pool;
-  trace.stage_replicas = group_copies;
-  trace.checkpoints = checkpoints;
-  trace.respawns = respawns;
-  trace.heartbeats = heartbeats;
-  trace.degraded = degraded;
-  trace.completed = completed;
-  trace.error = error;
-  if (!group_metrics.empty()) trace.packets = group_metrics.front().packets_out;
-  return trace;
 }
 
 PipelineRunner::PipelineRunner(std::vector<FilterGroup> groups,
@@ -186,7 +169,7 @@ PipelineRunner::PipelineRunner(std::vector<FilterGroup> groups,
   }
 }
 
-RunStats PipelineRunner::run() {
+support::PipelineTrace PipelineRunner::run() {
   RunOutcome outcome = run_supervised();
   if (outcome.error) std::rethrow_exception(outcome.error);
   return std::move(outcome.stats);
@@ -222,11 +205,15 @@ RunOutcome PipelineRunner::run_supervised() {
           "counters live inside worker processes, so the supervisor can "
           "only sample them from the heartbeat stream (set "
           "heartbeat_seconds / --heartbeat-ms)");
-    // A single-group pipeline has no cross-group links: nothing to put a
-    // process boundary on, so it runs in-process under every backend.
-    if (groups_.size() > 1) return run_multiprocess(run_ckpt);
   }
-  return run_threaded(run_ckpt);
+  // A single-group pipeline has no cross-group links: nothing to put a
+  // process boundary on, so it runs in-process under every backend.
+  const bool multiprocess =
+      config_.backend != TransportBackend::kThread && groups_.size() > 1;
+  RunOutcome outcome =
+      multiprocess ? run_multiprocess(run_ckpt) : run_threaded(run_ckpt);
+  outcome.stats.packets = outcome.stats.stage_metrics.front().packets_out;
+  return outcome;
 }
 
 RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
@@ -257,15 +244,8 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
   }
 
   RunOutcome outcome;
-  RunStats& stats = outcome.stats;
-  stats.group_ops.assign(n_groups, 0.0);
-  stats.group_metrics.resize(n_groups);
-  stats.fault_policy = FaultPolicy::action_name(policy_.action);
-  for (std::size_t gi = 0; gi < n_groups; ++gi) {
-    stats.group_names.push_back(groups_[gi].name);
-    stats.group_copies.push_back(groups_[gi].copies);
-    stats.group_metrics[gi].name = groups_[gi].name;
-  }
+  support::PipelineTrace& stats = outcome.stats;
+  stats = detail::trace_skeleton(groups_, config_, policy_);
 
   std::mutex state_mutex;  // guards stats and the first fatal error
   std::exception_ptr first_error;
@@ -391,7 +371,7 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
           fault.at_seconds = seconds_since(start);
           {
             std::lock_guard state_lock(state_mutex);
-            stats.group_metrics[gi].faults += 1;
+            stats.stage_metrics[gi].faults += 1;
           }
           record_fault(std::move(fault));
           set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
@@ -414,20 +394,14 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
     world.gi = gi;
     world.run_ckpt = run_ckpt;
     world.start = start;
-    world.packet_hook = &hook_;
-    world.checkpoint_hook = &checkpoint_hook_;
-    world.marker_hook = &marker_hook_;
+    world.hooks = &hooks_;
     world.pool = pool ? &*pool : nullptr;
     world.runtime = &runtimes[gi];
     world.live = &live[gi];
     world.warned_no_snapshot = &warned_no_snapshot[gi];
-    world.add_ops = [&, gi](double ops) {
-      std::lock_guard lock(state_mutex);
-      stats.group_ops[gi] += ops;
-    };
     world.merge_metrics = [&, gi](const support::FilterMetrics& m) {
       std::lock_guard lock(state_mutex);
-      stats.group_metrics[gi].merge(m);
+      stats.stage_metrics[gi].merge(m);
     };
     world.record_fault = record_fault;
     world.set_error = set_error;
@@ -462,14 +436,8 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
   }
   stats.wall_seconds = seconds_since(start);
 
-  for (const auto& stream : streams) {
-    stats.link_buffers.push_back(stream->buffers_pushed());
-    stats.link_bytes.push_back(stream->bytes_pushed());
-    support::LinkMetrics lm = stream->metrics();
-    lm.transport = "thread";  // v7: in-process queue, nothing on a wire
-    stats.link_metrics.push_back(lm);
-  }
-  stats.batch_size = static_cast<std::int64_t>(config_.batch_size);
+  for (std::size_t li = 0; li < streams.size(); ++li)
+    stats.link_metrics[li].merge(streams[li]->metrics());
   if (pool) stats.pool = pool->metrics();
   outcome.error = first_error;
   stats.completed = !first_error;

@@ -1,8 +1,8 @@
 // Pipeline runner: places a chain of logical filters, creates the streams
 // between consecutive groups, spawns one thread per transparent copy, and
 // runs the DataCutter work cycle (init -> process -> finalize) to
-// completion. Instrumented: per-link buffer/byte counts and per-group
-// operation counts feed the pipeline simulator.
+// completion. Instrumented: per-stage and per-link counters land in one
+// support::PipelineTrace per run.
 //
 // Fault tolerance (docs/ROBUSTNESS.md): each copy runs under a supervisor
 // that catches filter exceptions and applies the configured FaultPolicy —
@@ -10,8 +10,8 @@
 // packet (restart-copy), or discard the poisoned packet (drop-packet) —
 // with bounded consecutive retries and exponential backoff. A watchdog
 // thread flags stages that stop making progress. run_supervised() always
-// returns the assembled RunStats, carrying the error instead of discarding
-// the run's telemetry.
+// returns the run's support::PipelineTrace, carrying the error instead of
+// discarding the run's telemetry.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +81,20 @@ using CheckpointHook = std::function<void(const std::string& group, int copy,
 /// downstream copies wedge. See support/faultinject.h (`group:throw@markN`).
 using MarkerHook = std::function<void(const std::string& group, int copy,
                                       int attempt, std::int64_t marker_id)>;
+
+/// Observer of worker processes the multi-process backends fork: called
+/// in the supervisor with (group index, pid) right after each launch.
+/// Lets harnesses (chaos tests) target a specific worker with signals.
+using ProcessHook = std::function<void(std::size_t group_index, long pid)>;
+
+/// The hooks of one run, installed once on the runner and shared by every
+/// copy on every backend. Empty members are not called.
+struct RunHooks {
+  PacketHook packet;
+  CheckpointHook checkpoint;
+  MarkerHook marker;
+  ProcessHook process;
+};
 
 struct RunCheckpoint;  // datacutter/checkpoint.h
 
@@ -166,53 +180,7 @@ struct RunnerConfig {
   }
 };
 
-struct RunStats {
-  /// Indexed by link (between consecutive groups).
-  std::vector<std::int64_t> link_buffers;
-  std::vector<std::int64_t> link_bytes;
-  /// Indexed by group: total abstract ops across copies.
-  std::vector<double> group_ops;
-  std::vector<std::string> group_names;
-  /// Transparent copies each group was configured with (serialized as the
-  /// cgpipe-trace-v4 stage_replicas array).
-  std::vector<int> group_copies;
-  double wall_seconds = 0.0;
-  /// Observability: per-group counters aggregated over transparent copies
-  /// (packets/bytes in and out, busy vs. stall time, per-packet
-  /// latency summaries) and per-link queue telemetry (occupancy high-water
-  /// mark, producer/consumer blocked time).
-  std::vector<support::FilterMetrics> group_metrics;
-  std::vector<support::LinkMetrics> link_metrics;
-  /// Fault-tolerance surface: every fault the supervisor observed, the
-  /// policy in force, and whether the run reached normal end-of-stream.
-  std::vector<support::FaultRecord> faults;
-  std::string fault_policy;
-  /// Transport telemetry: the configured coalescing factor and the run's
-  /// buffer-pool counters (zeroed when pooling was disabled).
-  std::int64_t batch_size = 1;
-  support::PoolMetrics pool;
-  /// Run-level consistent cuts completed during the run (empty unless
-  /// run-level checkpointing was enabled).
-  std::vector<support::CheckpointRecord> checkpoints;
-  /// Self-healing surface (trace v8): one record per worker resurrection
-  /// with its MTTR, heartbeat liveness telemetry per stage, and whether
-  /// the run ended degraded (restart budget exhausted; surviving stages
-  /// drained to a partial result).
-  std::vector<support::RespawnRecord> respawns;
-  std::vector<support::HeartbeatMetrics> heartbeats;
-  bool degraded = false;
-  bool completed = true;
-  std::string error;  // first fatal condition; empty on success
-
-  /// Sum of supervisor retries / dropped packets over all groups.
-  std::int64_t total_retries() const;
-  std::int64_t total_dropped_packets() const;
-
-  /// Assembles the serializable trace record (see support/metrics.h).
-  support::PipelineTrace trace() const;
-};
-
-/// Result of a supervised run: the stats are always populated — partial
+/// Result of a supervised run: the trace is always populated — partial
 /// metrics survive a failed run — and the first fatal error (if any) rides
 /// along instead of being thrown away.
 struct RunOutcome {
@@ -222,7 +190,7 @@ struct RunOutcome {
   /// result stands; nothing should be rethrown) but completed is false.
   enum Disposition { kComplete, kDegraded, kFailed };
 
-  RunStats stats;
+  support::PipelineTrace stats;
   std::exception_ptr error;  // null when the pipeline completed or degraded
   Disposition disposition = kComplete;
   bool ok() const { return error == nullptr; }
@@ -240,19 +208,18 @@ class PipelineRunner {
   void set_fault_policy(const FaultPolicy& policy) { policy_ = policy; }
   const FaultPolicy& fault_policy() const { return policy_; }
   const RunnerConfig& config() const { return config_; }
+  /// Installs all of the run's hooks at once (see RunHooks).
+  void set_hooks(RunHooks hooks) { hooks_ = std::move(hooks); }
   /// Installs a per-packet fault-injection hook applied to every copy.
-  void set_packet_hook(PacketHook hook) { hook_ = std::move(hook); }
+  void set_packet_hook(PacketHook hook) { hooks_.packet = std::move(hook); }
   /// Installs a pre-snapshot fault-injection hook (see CheckpointHook).
   void set_checkpoint_hook(CheckpointHook hook) {
-    checkpoint_hook_ = std::move(hook);
+    hooks_.checkpoint = std::move(hook);
   }
   /// Installs a run-level marker fault-injection hook (see MarkerHook).
-  void set_marker_hook(MarkerHook hook) { marker_hook_ = std::move(hook); }
-  /// Observer of worker processes the multi-process backends fork: called
-  /// in the supervisor with (group index, pid) right after each launch.
-  /// Lets harnesses (chaos tests) target a specific worker with signals.
-  using ProcessHook = std::function<void(std::size_t group_index, long pid)>;
-  void set_process_hook(ProcessHook hook) { process_hook_ = std::move(hook); }
+  void set_marker_hook(MarkerHook hook) { hooks_.marker = std::move(hook); }
+  /// Installs the worker-process observer (see ProcessHook).
+  void set_process_hook(ProcessHook hook) { hooks_.process = std::move(hook); }
   /// Group-state codec for the multi-process backends: after a worker's
   /// group finishes, `exporter(gi)` serializes whatever run state the
   /// filters accumulated in that process (e.g. compiled-pipeline stage
@@ -272,11 +239,11 @@ class PipelineRunner {
 
   /// Runs the pipeline to completion on real threads; throws the first
   /// fatal error (fail-fast fault, all copies of a stage dead, watchdog),
-  /// discarding stats. Prefer run_supervised() to keep them.
-  RunStats run();
+  /// discarding the trace. Prefer run_supervised() to keep it.
+  support::PipelineTrace run();
 
   /// Runs the pipeline under the fault policy. Never throws on filter
-  /// failure: the outcome carries the assembled stats (including partial
+  /// failure: the outcome carries the run's trace (including partial
   /// metrics of a failed run) plus the first fatal error, if any.
   RunOutcome run_supervised();
 
@@ -291,10 +258,7 @@ class PipelineRunner {
   std::vector<FilterGroup> groups_;
   RunnerConfig config_;
   FaultPolicy policy_;
-  PacketHook hook_;
-  CheckpointHook checkpoint_hook_;
-  MarkerHook marker_hook_;
-  ProcessHook process_hook_;
+  RunHooks hooks_;
   GroupStateExport group_export_;
   GroupStateImport group_import_;
 };

@@ -82,8 +82,8 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     if (!unread.empty()) ctx.arm_unread(std::move(unread));
     unread.clear();
     if (!input) ctx.set_skip_emits(delivered_total);
-    if (world.packet_hook && *world.packet_hook) {
-      const PacketHook& hook = *world.packet_hook;
+    if (world.hooks->packet) {
+      const PacketHook& hook = world.hooks->packet;
       ctx.set_packet_hook([&hook, &group_name, copy, attempt](
                               std::int64_t packet, Buffer* buffer) {
         hook(group_name, copy, attempt, packet, buffer);
@@ -145,8 +145,8 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
         ctx.set_checkpoint(
             static_cast<std::int64_t>(config.checkpoint_interval), [&] {
               const std::int64_t ordinal = ckpt_ordinal++;
-              if (world.checkpoint_hook && *world.checkpoint_hook)
-                (*world.checkpoint_hook)(group_name, copy, attempt, ordinal);
+              if (world.hooks->checkpoint)
+                world.hooks->checkpoint(group_name, copy, attempt, ordinal);
               if (!commit_snapshot() &&
                   !world.warned_no_snapshot->exchange(true))
                 std::fprintf(stderr,
@@ -163,10 +163,10 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
         ctx.set_marker_handler([&](std::int64_t id) {
           last_marker_seen = id;
           const std::int64_t ordinal = ckpt_ordinal++;
-          if (world.marker_hook && *world.marker_hook)
-            (*world.marker_hook)(group_name, copy, attempt, id);
-          if (world.checkpoint_hook && *world.checkpoint_hook)
-            (*world.checkpoint_hook)(group_name, copy, attempt, ordinal);
+          if (world.hooks->marker)
+            world.hooks->marker(group_name, copy, attempt, id);
+          if (world.hooks->checkpoint)
+            world.hooks->checkpoint(group_name, copy, attempt, ordinal);
           Buffer snap;
           const bool ok = filter->snapshot_state(snap);
           std::vector<std::byte> state;
@@ -197,8 +197,8 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
             next_marker_id);
         ctx.set_marker_handler([&](std::int64_t id) {
           last_marker_seen = id;
-          if (world.marker_hook && *world.marker_hook)
-            (*world.marker_hook)(group_name, copy, attempt, id);
+          if (world.hooks->marker)
+            world.hooks->marker(group_name, copy, attempt, id);
           world.submit_part(id, gi, copy, {}, true,
                             delivered_total + ctx.delivered());
           last_marker_submitted = id;
@@ -253,7 +253,6 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     copy_metrics.merge(attempt_metrics);
     delivered_total += ctx.delivered();
     if (!input) next_marker_id = ctx.next_marker_id();
-    world.add_ops(ctx.ops());
     if (!failed) break;
 
     last_what = what;

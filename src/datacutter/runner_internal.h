@@ -39,15 +39,12 @@ struct CopyWorld {
   std::size_t gi = 0;                  // group index within the pipeline
   bool run_ckpt = false;               // run-level cuts enabled
   Clock::time_point start;             // run epoch for fault/cut stamps
-  const PacketHook* packet_hook = nullptr;
-  const CheckpointHook* checkpoint_hook = nullptr;
-  const MarkerHook* marker_hook = nullptr;
+  const RunHooks* hooks = nullptr;     // the runner's; never null
   BufferPool* pool = nullptr;
   GroupRuntime* runtime = nullptr;
   std::atomic<int>* live = nullptr;                 // live copies, this group
   std::atomic<bool>* warned_no_snapshot = nullptr;  // once per group
 
-  std::function<void(double)> add_ops;
   std::function<void(const support::FilterMetrics&)> merge_metrics;
   std::function<void(support::FaultRecord)> record_fault;
   std::function<void(std::exception_ptr, const std::string&)> set_error;
@@ -66,6 +63,13 @@ struct CopyWorld {
                      std::int64_t delivered)>
       register_terminal;
 };
+
+/// A run's trace before any copy reports: stage names, the replica plan,
+/// the fault policy, the batch size, and one entry per cross-group link
+/// tagged with the backend's transport. Every backend starts from it.
+support::PipelineTrace trace_skeleton(const std::vector<FilterGroup>& groups,
+                                      const RunnerConfig& config,
+                                      const FaultPolicy& policy);
 
 /// Runs one transparent copy of one group to completion under the fault
 /// policy: the full supervisor loop (checkpointed recovery, marker

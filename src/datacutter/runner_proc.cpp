@@ -20,8 +20,9 @@
 // which the worker validates against its fork-inherited configuration
 // before ACKing. During the run the worker streams cut parts, terminals,
 // faults, fatal errors, and periodic kHeartbeat liveness frames; at exit
-// it sends its telemetry (stage metrics, producer-side link metrics,
-// transport counters, pool counters) and its group-state blob.
+// it sends its slice of the run's trace and its group-state blob. Faults
+// and the slice travel as support::PipelineTrace documents in the JSON
+// codec --trace writes, which the supervisor merges into the run's trace.
 //
 // Teardown discipline: a fatal fault aborts the failing worker's channel
 // ends, and every pump that observes an aborted or truncated channel
@@ -56,7 +57,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -89,9 +89,9 @@ enum ControlTag : std::uint32_t {
   kMsgAck = 2,         // worker -> supervisor: plan accepted
   kMsgPart = 3,        // worker -> supervisor: one cut part
   kMsgTerminal = 4,    // worker -> supervisor: copy contributes no more
-  kMsgFault = 5,       // worker -> supervisor: one FaultRecord
+  kMsgFault = 5,       // worker -> supervisor: trace holding one fault
   kMsgFatal = 6,       // worker -> supervisor: first fatal error text
-  kMsgStats = 7,       // worker -> supervisor: end-of-run telemetry
+  kMsgStats = 7,       // worker -> supervisor: end-of-run trace slice
   kMsgGroupState = 8,  // worker -> supervisor: group-state codec blob
   kMsgAbort = 9,       // supervisor -> worker: tear the run down
 };
@@ -120,133 +120,15 @@ std::vector<std::byte> get_blob(Buffer& b) {
   return bytes;
 }
 
-void put_filter_metrics(Buffer& b, const support::FilterMetrics& m) {
-  put_string(b, m.name);
-  b.write<std::int64_t>(m.copies);
-  b.write<std::int64_t>(m.packets_in);
-  b.write<std::int64_t>(m.packets_out);
-  b.write<std::int64_t>(m.bytes_in);
-  b.write<std::int64_t>(m.bytes_out);
-  b.write<double>(m.total_seconds);
-  b.write<double>(m.stall_input_seconds);
-  b.write<double>(m.stall_output_seconds);
-  b.write<std::int64_t>(m.faults);
-  b.write<std::int64_t>(m.retries);
-  b.write<std::int64_t>(m.dropped_packets);
-  b.write<std::int64_t>(m.checkpoints);
-  b.write<std::int64_t>(m.latency.count);
-  b.write<double>(m.latency.min_seconds);
-  b.write<double>(m.latency.max_seconds);
-  b.write<double>(m.latency.sum_seconds);
-  for (const std::int64_t c : m.latency.histogram.counts)
-    b.write<std::int64_t>(c);
+// Trace documents cross the control plane in the trace's own JSON codec,
+// which round-trips every stored field exactly, so a field added to the
+// trace reaches the supervisor from every backend.
+void put_trace(Buffer& b, const support::PipelineTrace& trace) {
+  put_string(b, support::trace_to_json(trace, 0));
 }
 
-support::FilterMetrics get_filter_metrics(Buffer& b) {
-  support::FilterMetrics m;
-  m.name = get_string(b);
-  m.copies = static_cast<int>(b.read<std::int64_t>());
-  m.packets_in = b.read<std::int64_t>();
-  m.packets_out = b.read<std::int64_t>();
-  m.bytes_in = b.read<std::int64_t>();
-  m.bytes_out = b.read<std::int64_t>();
-  m.total_seconds = b.read<double>();
-  m.stall_input_seconds = b.read<double>();
-  m.stall_output_seconds = b.read<double>();
-  m.faults = b.read<std::int64_t>();
-  m.retries = b.read<std::int64_t>();
-  m.dropped_packets = b.read<std::int64_t>();
-  m.checkpoints = b.read<std::int64_t>();
-  m.latency.count = b.read<std::int64_t>();
-  m.latency.min_seconds = b.read<double>();
-  m.latency.max_seconds = b.read<double>();
-  m.latency.sum_seconds = b.read<double>();
-  for (std::int64_t& c : m.latency.histogram.counts)
-    c = b.read<std::int64_t>();
-  return m;
-}
-
-// Stream-side link counters only; the v7 transport fields are composed by
-// the supervisor from the endpoint TransportCounters.
-void put_link_metrics(Buffer& b, const support::LinkMetrics& m) {
-  b.write<std::int64_t>(m.buffers);
-  b.write<std::int64_t>(m.bytes);
-  b.write<std::int64_t>(m.batches);
-  b.write<std::int64_t>(m.capacity);
-  b.write<std::int64_t>(m.occupancy_high_water);
-  b.write<std::int64_t>(m.dropped_buffers);
-  b.write<double>(m.producer_block_seconds);
-  b.write<double>(m.consumer_block_seconds);
-}
-
-support::LinkMetrics get_link_metrics(Buffer& b) {
-  support::LinkMetrics m;
-  m.buffers = b.read<std::int64_t>();
-  m.bytes = b.read<std::int64_t>();
-  m.batches = b.read<std::int64_t>();
-  m.capacity = b.read<std::int64_t>();
-  m.occupancy_high_water = b.read<std::int64_t>();
-  m.dropped_buffers = b.read<std::int64_t>();
-  m.producer_block_seconds = b.read<double>();
-  m.consumer_block_seconds = b.read<double>();
-  return m;
-}
-
-void put_counters(Buffer& b, const TransportCounters& c) {
-  b.write<std::int64_t>(c.frames);
-  b.write<std::int64_t>(c.wire_bytes);
-  b.write<double>(c.send_wait_seconds);
-  b.write<double>(c.recv_wait_seconds);
-}
-
-TransportCounters get_counters(Buffer& b) {
-  TransportCounters c;
-  c.frames = b.read<std::int64_t>();
-  c.wire_bytes = b.read<std::int64_t>();
-  c.send_wait_seconds = b.read<double>();
-  c.recv_wait_seconds = b.read<double>();
-  return c;
-}
-
-void put_pool_metrics(Buffer& b, const support::PoolMetrics& p) {
-  b.write<std::int64_t>(p.acquires);
-  b.write<std::int64_t>(p.hits);
-  b.write<std::int64_t>(p.misses);
-  b.write<std::int64_t>(p.recycles);
-  b.write<std::int64_t>(p.discarded);
-  b.write<std::uint64_t>(p.classes.size());
-  for (const support::PoolClassMetrics& c : p.classes) {
-    b.write<std::int64_t>(c.class_index);
-    b.write<std::int64_t>(c.class_bytes);
-    b.write<std::int64_t>(c.acquires);
-    b.write<std::int64_t>(c.hits);
-    b.write<std::int64_t>(c.misses);
-    b.write<std::int64_t>(c.recycles);
-    b.write<std::int64_t>(c.discarded);
-    b.write<std::int64_t>(c.high_water);
-  }
-}
-
-support::PoolMetrics get_pool_metrics(Buffer& b) {
-  support::PoolMetrics p;
-  p.acquires = b.read<std::int64_t>();
-  p.hits = b.read<std::int64_t>();
-  p.misses = b.read<std::int64_t>();
-  p.recycles = b.read<std::int64_t>();
-  p.discarded = b.read<std::int64_t>();
-  const auto n = static_cast<std::size_t>(b.read<std::uint64_t>());
-  p.classes.resize(n);
-  for (support::PoolClassMetrics& c : p.classes) {
-    c.class_index = static_cast<int>(b.read<std::int64_t>());
-    c.class_bytes = b.read<std::int64_t>();
-    c.acquires = b.read<std::int64_t>();
-    c.hits = b.read<std::int64_t>();
-    c.misses = b.read<std::int64_t>();
-    c.recycles = b.read<std::int64_t>();
-    c.discarded = b.read<std::int64_t>();
-    c.high_water = b.read<std::int64_t>();
-  }
-  return p;
+support::PipelineTrace get_trace(Buffer& b) {
+  return support::trace_from_json(get_string(b));
 }
 
 // ---- handshake plan -------------------------------------------------------
@@ -462,9 +344,7 @@ struct WorkerSetup {
   const std::vector<FilterGroup>* groups = nullptr;
   const RunnerConfig* config = nullptr;
   const FaultPolicy* policy = nullptr;
-  const PacketHook* packet_hook = nullptr;
-  const CheckpointHook* checkpoint_hook = nullptr;
-  const MarkerHook* marker_hook = nullptr;
+  const RunHooks* hooks = nullptr;
   const PipelineRunner::GroupStateExport* group_export = nullptr;
   bool run_ckpt = false;
   std::shared_ptr<ByteChannel> in_chan;   // proc: ring (null for gi == 0)
@@ -638,7 +518,6 @@ struct WorkerSetup {
                            std::chrono::duration<double>(
                                plan.run_elapsed_seconds));
     std::mutex state_mutex;
-    double group_ops = 0.0;
     support::FilterMetrics metrics;
     metrics.name = group.name;
     bool error_recorded = false;
@@ -685,30 +564,20 @@ struct WorkerSetup {
     world.gi = gi;
     world.run_ckpt = setup.run_ckpt;
     world.start = start;
-    world.packet_hook = setup.packet_hook;
-    world.checkpoint_hook = setup.checkpoint_hook;
-    world.marker_hook = setup.marker_hook;
+    world.hooks = setup.hooks;
     world.pool = pool ? &*pool : nullptr;
     world.runtime = &runtime;
     world.live = &live;
     world.warned_no_snapshot = &warned_no_snapshot;
-    world.add_ops = [&](double ops) {
-      std::lock_guard lock(state_mutex);
-      group_ops += ops;
-    };
     world.merge_metrics = [&](const support::FilterMetrics& m) {
       std::lock_guard lock(state_mutex);
       metrics.merge(m);
     };
     world.record_fault = [&](support::FaultRecord fault) {
+      support::PipelineTrace trace;
+      trace.faults.push_back(std::move(fault));
       Buffer b;
-      put_string(b, fault.group);
-      b.write<std::int64_t>(fault.copy);
-      b.write<std::int64_t>(fault.packet_index);
-      put_string(b, fault.what);
-      b.write<std::int64_t>(fault.attempt);
-      b.write<std::uint8_t>(static_cast<std::uint8_t>(fault.resolution));
-      b.write<double>(fault.at_seconds);
+      put_trace(b, trace);
       status.send(kMsgFault, std::move(b));
     };
     world.set_error = set_error;
@@ -778,24 +647,31 @@ struct WorkerSetup {
     if (recv_pump.joinable()) recv_pump.join();
     stop_heartbeats();
 
-    // End-of-run telemetry: stage metrics, the producer-side view of the
-    // output link, the transport counters of both endpoints this worker
-    // owns, and the pool counters.
+    // End-of-run slice of the run's trace: this stage's metrics, the
+    // output link's stream and send-side counters, the input link's
+    // receive wait, and the pool counters.
     {
-      Buffer b;
+      support::PipelineTrace slice;
+      slice.batch_size = static_cast<std::int64_t>(config.batch_size);
+      slice.stage_metrics.resize(gi + 1);
       {
         std::lock_guard lock(state_mutex);
-        b.write<double>(group_ops);
-        put_filter_metrics(b, metrics);
+        slice.stage_metrics[gi] = metrics;
       }
-      put_link_metrics(b, local_out.metrics());
-      put_counters(b, out_link.counters());
-      TransportCounters in_counters;
-      if (in_link) in_counters = in_link->counters();
-      put_counters(b, in_counters);
-      support::PoolMetrics pool_metrics;
-      if (pool) pool_metrics = pool->metrics();
-      put_pool_metrics(b, pool_metrics);
+      slice.link_metrics.resize(gi + 1);
+      support::LinkMetrics& out = slice.link_metrics[gi];
+      out = local_out.metrics();
+      out.transport = backend_name(config.backend);
+      const TransportCounters sent = out_link.counters();
+      out.frames = sent.frames;
+      out.wire_bytes = sent.wire_bytes;
+      out.send_wait_seconds = sent.send_wait_seconds;
+      if (in_link)
+        slice.link_metrics[gi - 1].recv_wait_seconds =
+            in_link->counters().recv_wait_seconds;
+      if (pool) slice.pool = pool->metrics();
+      Buffer b;
+      put_trace(b, slice);
       status.send(kMsgStats, std::move(b));
     }
     if (setup.group_export && *setup.group_export) {
@@ -831,7 +707,7 @@ struct WorkerDeath {
 // (newest usable in-run cut, surviving workers' group-state blobs) the
 // next attempt — or the final stats assembly — consumes.
 struct AttemptResult {
-  RunStats stats;
+  support::PipelineTrace stats;
   std::exception_ptr error;
   std::vector<WorkerDeath> organic;
   double handshake_done = 0.0;       // run-relative: all plan ACKs in
@@ -852,62 +728,6 @@ struct HeartbeatState {
   std::atomic<std::int64_t> latency_sum_ns{0};
   std::atomic<std::int64_t> latency_max_ns{0};
 };
-
-void fold_link_metrics(support::LinkMetrics& into,
-                       const support::LinkMetrics& from) {
-  into.buffers += from.buffers;
-  into.bytes += from.bytes;
-  into.batches += from.batches;
-  into.capacity = std::max(into.capacity, from.capacity);
-  into.occupancy_high_water =
-      std::max(into.occupancy_high_water, from.occupancy_high_water);
-  into.dropped_buffers += from.dropped_buffers;
-  into.producer_block_seconds += from.producer_block_seconds;
-  into.consumer_block_seconds += from.consumer_block_seconds;
-  into.transport = from.transport;
-  into.frames += from.frames;
-  into.wire_bytes += from.wire_bytes;
-  into.send_wait_seconds += from.send_wait_seconds;
-  into.recv_wait_seconds += from.recv_wait_seconds;
-}
-
-// Folds one attempt's telemetry into the run's merged stats. Counters
-// sum (every attempt's traffic is real traffic), high-water marks take
-// the max, and event lists (faults, checkpoints, heartbeats) append —
-// completion/error disposition is the outer loop's decision, not folded.
-void fold_attempt_stats(RunStats& into, RunStats&& from) {
-  for (std::size_t gi = 0; gi < into.group_ops.size(); ++gi) {
-    into.group_ops[gi] += from.group_ops[gi];
-    into.group_metrics[gi].merge(from.group_metrics[gi]);
-  }
-  if (into.link_metrics.empty()) {
-    into.link_buffers = std::move(from.link_buffers);
-    into.link_bytes = std::move(from.link_bytes);
-    into.link_metrics = std::move(from.link_metrics);
-  } else {
-    for (std::size_t li = 0; li < into.link_metrics.size(); ++li) {
-      into.link_buffers[li] += from.link_buffers[li];
-      into.link_bytes[li] += from.link_bytes[li];
-      fold_link_metrics(into.link_metrics[li], from.link_metrics[li]);
-    }
-  }
-  for (auto& fault : from.faults) into.faults.push_back(std::move(fault));
-  for (auto& rec : from.checkpoints)
-    into.checkpoints.push_back(std::move(rec));
-  into.pool.merge(from.pool);
-  for (auto& hb : from.heartbeats) {
-    const auto it =
-        std::find_if(into.heartbeats.begin(), into.heartbeats.end(),
-                     [&](const support::HeartbeatMetrics& m) {
-                       return m.group == hb.group;
-                     });
-    if (it == into.heartbeats.end())
-      into.heartbeats.push_back(std::move(hb));
-    else
-      it->merge(hb);
-  }
-  into.batch_size = from.batch_size;
-}
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -933,15 +753,8 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
   const auto run_start = Clock::now();
 
   RunOutcome outcome;
-  RunStats& merged = outcome.stats;
-  merged.group_ops.assign(n_groups, 0.0);
-  merged.group_metrics.resize(n_groups);
-  merged.fault_policy = FaultPolicy::action_name(policy_.action);
-  for (std::size_t gi = 0; gi < n_groups; ++gi) {
-    merged.group_names.push_back(groups_[gi].name);
-    merged.group_copies.push_back(groups_[gi].copies);
-    merged.group_metrics[gi].name = groups_[gi].name;
-  }
+  support::PipelineTrace& merged = outcome.stats;
+  merged = detail::trace_skeleton(groups_, config_, policy_);
 
   // Rollback-recovery state carried across attempts: the cut the next
   // attempt restores from (seeded by an explicit --resume, then advanced
@@ -958,11 +771,8 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
   const auto run_attempt = [&](const RunnerConfig& config,
                                AttemptResult& out) {
     const bool heal = config.self_heal();
-    RunStats& stats = out.stats;
-    stats.group_ops.assign(n_groups, 0.0);
-    stats.group_metrics.resize(n_groups);
-    for (std::size_t gi = 0; gi < n_groups; ++gi)
-      stats.group_metrics[gi].name = groups_[gi].name;
+    support::PipelineTrace& stats = out.stats;
+    stats = detail::trace_skeleton(groups_, config, policy_);
 
     // Link endpoints, created before any fork so both endpoint processes
     // inherit them: rings as shared mappings, listeners as bound sockets.
@@ -1035,9 +845,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
         setup.groups = &groups_;
         setup.config = &config;
         setup.policy = &policy_;
-        setup.packet_hook = &hook_;
-        setup.checkpoint_hook = &checkpoint_hook_;
-        setup.marker_hook = &marker_hook_;
+        setup.hooks = &hooks_;
         setup.group_export = &group_export_;
         setup.run_ckpt = run_ckpt;
         if (config.backend == TransportBackend::kProc) {
@@ -1063,7 +871,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
       w.status = std::make_unique<FrameLink>(w.status_chan);
       w.command = std::make_unique<ControlWriter>(std::make_shared<FdChannel>(
           command_pipe[1], FdChannel::Kind::kPipe));
-      if (process_hook_) process_hook_(wi, static_cast<long>(pid));
+      if (hooks_.process) hooks_.process(wi, static_cast<long>(pid));
     }
 
     // A startup failure may itself be an organic death (the chaos sniper
@@ -1288,16 +1096,11 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
       drain_cut_records();
     };
 
-    // Per-worker end-of-run telemetry, filled by that worker's control
-    // reader thread and consumed only after the reader joined.
+    // Per-worker end-of-run trace slice and group state, filled by that
+    // worker's control reader thread and consumed only after the reader
+    // joined.
     struct WorkerReport {
-      bool have_stats = false;
-      double ops = 0.0;
-      support::FilterMetrics metrics;
-      support::LinkMetrics out_link;
-      TransportCounters out_counters;
-      TransportCounters in_counters;
-      support::PoolMetrics pool;
+      std::optional<support::PipelineTrace> slice;
       bool have_state = false;
       std::vector<std::byte> group_state;
     };
@@ -1359,16 +1162,9 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
               break;
             }
             case kMsgFault: {
-              support::FaultRecord fault;
-              fault.group = get_string(body);
-              fault.copy = static_cast<int>(body.read<std::int64_t>());
-              fault.packet_index = body.read<std::int64_t>();
-              fault.what = get_string(body);
-              fault.attempt = static_cast<int>(body.read<std::int64_t>());
-              fault.resolution = static_cast<support::FaultResolution>(
-                  body.read<std::uint8_t>());
-              fault.at_seconds = body.read<double>();
-              record_fault(std::move(fault));
+              const support::PipelineTrace fault = get_trace(body);
+              std::lock_guard lock(state_mutex);
+              stats.merge(fault);
               break;
             }
             case kMsgFatal: {
@@ -1377,16 +1173,9 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
                         what);
               break;
             }
-            case kMsgStats: {
-              report.ops = body.read<double>();
-              report.metrics = get_filter_metrics(body);
-              report.out_link = get_link_metrics(body);
-              report.out_counters = get_counters(body);
-              report.in_counters = get_counters(body);
-              report.pool = get_pool_metrics(body);
-              report.have_stats = true;
+            case kMsgStats:
+              report.slice = get_trace(body);
               break;
-            }
             case kMsgGroupState: {
               report.group_state = get_blob(body);
               report.have_state = true;
@@ -1564,7 +1353,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
                 fault.at_seconds = seconds_since(run_start);
                 {
                   std::lock_guard state_lock(state_mutex);
-                  stats.group_metrics[gi].faults += 1;
+                  stats.stage_metrics[gi].faults += 1;
                 }
                 record_fault(std::move(fault));
                 set_error(
@@ -1598,20 +1387,14 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     sink_world.gi = sink_gi;
     sink_world.run_ckpt = run_ckpt;
     sink_world.start = run_start;
-    sink_world.packet_hook = &hook_;
-    sink_world.checkpoint_hook = &checkpoint_hook_;
-    sink_world.marker_hook = &marker_hook_;
+    sink_world.hooks = &hooks_;
     sink_world.pool = pool ? &*pool : nullptr;
     sink_world.runtime = &sink_runtime;
     sink_world.live = &sink_live;
     sink_world.warned_no_snapshot = &sink_warned;
-    sink_world.add_ops = [&](double ops) {
-      std::lock_guard lock(state_mutex);
-      stats.group_ops[sink_gi] += ops;
-    };
     sink_world.merge_metrics = [&](const support::FilterMetrics& m) {
       std::lock_guard lock(state_mutex);
-      stats.group_metrics[sink_gi].merge(m);
+      stats.stage_metrics[sink_gi].merge(m);
     };
     sink_world.record_fault = record_fault;
     sink_world.set_error = set_error;
@@ -1637,32 +1420,19 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     for (std::thread& t : control_readers) t.join();
     drain_cut_records();
 
-    // ---- assemble the attempt's stats ------------------------------------
+    // ---- assemble the attempt's trace ------------------------------------
     stats.wall_seconds = seconds_since(run_start);
     for (std::size_t wi = 0; wi < n_workers; ++wi) {
       WorkerReport& report = reports[wi];
-      if (report.have_stats) {
-        stats.group_ops[wi] += report.ops;
-        stats.group_metrics[wi].merge(report.metrics);
-        stats.pool.merge(report.pool);
-      }
-      support::LinkMetrics link = report.out_link;
-      link.transport = backend_name(config.backend);
-      link.frames = report.out_counters.frames;
-      link.wire_bytes = report.out_counters.wire_bytes;
-      link.send_wait_seconds = report.out_counters.send_wait_seconds;
-      link.recv_wait_seconds =
-          wi + 1 < n_workers ? reports[wi + 1].in_counters.recv_wait_seconds
-                             : sink_link.counters().recv_wait_seconds;
-      stats.link_buffers.push_back(link.buffers);
-      stats.link_bytes.push_back(link.bytes);
-      stats.link_metrics.push_back(link);
-      out.have_stats[wi] = report.have_stats ? 1 : 0;
+      if (report.slice) stats.merge(*report.slice);
+      out.have_stats[wi] = report.slice ? 1 : 0;
       out.have_state[wi] = report.have_state ? 1 : 0;
       if (report.have_state)
         out.group_state[wi] = std::move(report.group_state);
     }
-    stats.batch_size = static_cast<std::int64_t>(config.batch_size);
+    // The last link's receiving end is the sink pump in this process.
+    stats.link_metrics.back().recv_wait_seconds +=
+        sink_link.counters().recv_wait_seconds;
     if (pool) stats.pool.merge(pool->metrics());
     for (std::size_t wi = 0; wi < n_workers; ++wi) {
       const std::int64_t beats =
@@ -1709,7 +1479,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     pending.clear();
 
     const std::string attempt_error_text = r.stats.error;
-    fold_attempt_stats(merged, std::move(r.stats));
+    merged.merge(r.stats);
 
     // A death between a worker's final telemetry and its exit is not a
     // failure: if the attempt produced no error and every worker's stats
@@ -1805,7 +1575,6 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
   }
 
   merged.wall_seconds = seconds_since(run_start);
-  merged.batch_size = static_cast<std::int64_t>(config_.batch_size);
   return outcome;
 }
 

@@ -1,11 +1,15 @@
 #include "datacutter/shm_ring.h"
 
 #include <errno.h>
+#include <linux/futex.h>
 #include <pthread.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -15,8 +19,9 @@ namespace cgp::dc {
 
 struct ShmRing::Header {
   pthread_mutex_t mutex;
-  pthread_cond_t readable;
-  pthread_cond_t writable;
+  std::uint32_t readable;  // futex word: bumped when data or EOS arrives
+  std::uint32_t writable;  // futex word: bumped when space frees up
+  std::uint32_t waiters;   // processes parked on either word (mutex held)
   std::uint64_t head;      // absolute bytes consumed
   std::uint64_t tail;      // absolute bytes produced
   std::uint64_t capacity;  // payload bytes in the ring
@@ -27,9 +32,14 @@ struct ShmRing::Header {
 namespace {
 
 /// Bounded wait so a waiter re-checks liveness even if the peer process
-/// died between its state update and its signal (a condvar signal from a
+/// died between its state update and its wakeup (a wakeup from a
 /// SIGKILLed process never arrives; the state in shared memory survives).
 constexpr long kWaitNs = 50 * 1000 * 1000;  // 50 ms
+
+long futex(std::uint32_t* word, int op, std::uint32_t value,
+           const timespec* timeout) {
+  return ::syscall(SYS_futex, word, op, value, timeout, nullptr, 0);
+}
 
 }  // namespace
 
@@ -50,14 +60,6 @@ std::shared_ptr<ShmRing> ShmRing::create(std::size_t capacity_bytes) {
   pthread_mutex_init(&header->mutex, &mattr);
   pthread_mutexattr_destroy(&mattr);
 
-  pthread_condattr_t cattr;
-  pthread_condattr_init(&cattr);
-  pthread_condattr_setpshared(&cattr, PTHREAD_PROCESS_SHARED);
-  pthread_condattr_setclock(&cattr, CLOCK_MONOTONIC);
-  pthread_cond_init(&header->readable, &cattr);
-  pthread_cond_init(&header->writable, &cattr);
-  pthread_condattr_destroy(&cattr);
-
   std::byte* data = reinterpret_cast<std::byte*>(map) + sizeof(Header);
   return std::shared_ptr<ShmRing>(new ShmRing(header, data, map_len));
 }
@@ -67,7 +69,7 @@ ShmRing::ShmRing(Header* header, std::byte* data, std::size_t map_len)
 
 ShmRing::~ShmRing() {
   // Each process unmaps its own view; the kernel frees the pages when the
-  // last mapping goes. The pthread objects live inside the mapping and are
+  // last mapping goes. The mutex lives inside the mapping and is
   // deliberately never destroyed — the peer process may still hold a view.
   ::munmap(header_, map_len_);
 }
@@ -80,8 +82,8 @@ bool ShmRing::lock() const {
     // byte ledger may be torn: poison the ring rather than trust it.
     header_->aborted = 1;
     pthread_mutex_consistent(&header_->mutex);
-    pthread_cond_broadcast(&header_->readable);
-    pthread_cond_broadcast(&header_->writable);
+    wake(&header_->readable);
+    wake(&header_->writable);
     return true;
   }
   if (rc == ENOTRECOVERABLE) {
@@ -90,45 +92,35 @@ bool ShmRing::lock() const {
     // without the lock (the flag only ever moves 0 -> 1, and every reader
     // of it is already on a teardown path) and wake any parked peers.
     header_->aborted = 1;
-    pthread_cond_broadcast(&header_->readable);
-    pthread_cond_broadcast(&header_->writable);
+    wake(&header_->readable);
+    wake(&header_->writable);
     return false;
   }
   throw std::system_error(rc, std::generic_category(),
                           "ShmRing: pthread_mutex_lock");
 }
 
-bool ShmRing::timed_wait(pthread_cond_t* cv) const {
-  timespec deadline;
-  clock_gettime(CLOCK_MONOTONIC, &deadline);
-  deadline.tv_nsec += kWaitNs;
-  if (deadline.tv_nsec >= 1000000000L) {
-    deadline.tv_nsec -= 1000000000L;
-    deadline.tv_sec += 1;
-  }
-  const int rc = pthread_cond_timedwait(cv, &header_->mutex, &deadline);
-  if (rc == 0 || rc == ETIMEDOUT) return true;
-  if (rc == EOWNERDEAD) {
-    // The peer died holding the mutex while we were parked; the wakeup
-    // re-acquired it in inconsistent state. Same recovery as lock():
-    // poison the ring, make the mutex consistent so the eventual unlock
-    // does not render it permanently unusable, wake both sides.
-    header_->aborted = 1;
-    pthread_mutex_consistent(&header_->mutex);
-    pthread_cond_broadcast(&header_->readable);
-    pthread_cond_broadcast(&header_->writable);
-    return true;
-  }
-  if (rc == ENOTRECOVERABLE) {
-    // The mutex died while we were parked and was never recovered; the
-    // wait returns without holding it. Same no-lock poisoning as lock().
-    header_->aborted = 1;
-    pthread_cond_broadcast(&header_->readable);
-    pthread_cond_broadcast(&header_->writable);
-    return false;
-  }
-  throw std::system_error(rc, std::generic_category(),
-                          "ShmRing: pthread_cond_timedwait");
+void ShmRing::wake(std::uint32_t* word) const {
+  __atomic_fetch_add(word, 1, __ATOMIC_RELEASE);
+  // Every caller that may lack the mutex has marked the ring aborted
+  // first, and then the waiter count cannot be trusted: wake
+  // unconditionally. Otherwise skip the syscall when nobody is parked.
+  if (header_->aborted || header_->waiters > 0)
+    futex(word, FUTEX_WAKE, INT_MAX, nullptr);
+}
+
+bool ShmRing::timed_wait(std::uint32_t* word) const {
+  // Registered under the mutex, so a waker holding it either sees this
+  // waiter or ran before `seen` was read; a bump that lands between the
+  // unlock and the wait makes FUTEX_WAIT return at once.
+  const std::uint32_t seen = __atomic_load_n(word, __ATOMIC_ACQUIRE);
+  ++header_->waiters;
+  pthread_mutex_unlock(&header_->mutex);
+  const timespec timeout{0, kWaitNs};
+  futex(word, FUTEX_WAIT, seen, &timeout);
+  if (!lock()) return false;  // lock() already marked the ring aborted
+  --header_->waiters;
+  return true;
 }
 
 std::size_t ShmRing::capacity() const {
@@ -163,7 +155,7 @@ bool ShmRing::write_all(const std::byte* src, std::size_t n) {
     std::memcpy(data_ + at, src, run);
     if (run < chunk) std::memcpy(data_, src + run, chunk - run);
     header_->tail += chunk;
-    pthread_cond_signal(&header_->readable);
+    wake(&header_->readable);
     pthread_mutex_unlock(&header_->mutex);
     src += chunk;
     n -= chunk;
@@ -195,7 +187,7 @@ std::ptrdiff_t ShmRing::read_some(std::byte* dst, std::size_t n) {
   std::memcpy(dst, data_ + at, run);
   if (run < chunk) std::memcpy(dst + run, data_, chunk - run);
   header_->head += chunk;
-  pthread_cond_signal(&header_->writable);
+  wake(&header_->writable);
   pthread_mutex_unlock(&header_->mutex);
   return static_cast<std::ptrdiff_t>(chunk);
 }
@@ -203,15 +195,15 @@ std::ptrdiff_t ShmRing::read_some(std::byte* dst, std::size_t n) {
 void ShmRing::close_write() {
   if (!lock()) return;  // ring already poisoned; readers see the abort
   header_->writer_closed = 1;
-  pthread_cond_broadcast(&header_->readable);
+  wake(&header_->readable);
   pthread_mutex_unlock(&header_->mutex);
 }
 
 void ShmRing::abort() {
   if (!lock()) return;  // lock() already marked the ring aborted
   header_->aborted = 1;
-  pthread_cond_broadcast(&header_->readable);
-  pthread_cond_broadcast(&header_->writable);
+  wake(&header_->readable);
+  wake(&header_->writable);
   pthread_mutex_unlock(&header_->mutex);
 }
 

@@ -1,12 +1,13 @@
 // Shared-memory byte ring for the proc backend: a bounded SPSC byte pipe
 // living in an anonymous MAP_SHARED mapping created before fork, so both
 // endpoint processes address the same pages. Synchronization is a
-// process-shared robust pthread mutex plus two process-shared condition
-// variables — futex-backed wakeups on Linux, with a bounded timed re-check
-// so a waiter never wedges when its peer process is SIGKILLed between
-// update and signal. A writer that dies holding the lock trips
-// EOWNERDEAD on the survivor, which marks the ring aborted instead of
-// inheriting torn state.
+// process-shared robust pthread mutex plus one futex wakeup word per side,
+// with a bounded timed re-check so a waiter never wedges when its peer
+// process is SIGKILLed between update and wakeup. The wakeup words hold no
+// lock and no waiter references — a process-shared pthread_cond_t does,
+// and a peer killed while parked on one wedges the next signaller for
+// good. A writer that dies holding the mutex trips EOWNERDEAD on the
+// survivor, which marks the ring aborted instead of inheriting torn state.
 //
 // The ring streams: a frame larger than the capacity flows through in
 // chunks (writer refills as the reader drains), mirroring Stream's bounded
@@ -14,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "datacutter/transport.h"
@@ -51,11 +53,15 @@ class ShmRing : public ByteChannel {
   /// then marked aborted and the caller must not unlock.
   bool lock() const;
 
-  /// Bounded condvar wait under the ring mutex, with the same died-owner
-  /// recovery as lock(). Returns true with the mutex re-acquired; false
-  /// when re-acquisition failed beyond recovery (ring aborted, mutex not
-  /// held).
-  bool timed_wait(pthread_cond_t* cv) const;
+  /// Bounded wait for `word` to be bumped, entered with the ring mutex
+  /// held; the mutex is released while parked and re-acquired with the
+  /// same died-owner recovery as lock(). Returns true with the mutex held;
+  /// false when re-acquisition failed beyond recovery (ring aborted, mutex
+  /// not held).
+  bool timed_wait(std::uint32_t* word) const;
+  /// Bumps `word` and wakes the processes parked on it. Called with the
+  /// mutex held, except on the recovery paths that have lost it.
+  void wake(std::uint32_t* word) const;
 
   Header* header_;
   std::byte* data_;

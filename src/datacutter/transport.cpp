@@ -130,9 +130,7 @@ void encode_frame(const Frame& frame, std::vector<std::byte>& out) {
         throw std::logic_error("encode_frame: data frame needs one buffer");
       const Buffer& b = frame.buffers.front();
       put_u32(out, b.tag());
-      const std::size_t offset = out.size();
-      out.resize(offset + b.size());
-      std::memcpy(out.data() + offset, b.data(), b.size());
+      out.insert(out.end(), b.data(), b.data() + b.size());
       break;
     }
     case FrameKind::kBatch: {
@@ -140,9 +138,7 @@ void encode_frame(const Frame& frame, std::vector<std::byte>& out) {
       for (const Buffer& b : frame.buffers) {
         put_u32(out, b.tag());
         put_u32(out, static_cast<std::uint32_t>(b.size()));
-        const std::size_t offset = out.size();
-        out.resize(offset + b.size());
-        std::memcpy(out.data() + offset, b.data(), b.size());
+        out.insert(out.end(), b.data(), b.data() + b.size());
       }
       break;
     }

@@ -515,24 +515,24 @@ int main(int argc, char** argv) {
         std::printf("final %-12s = %s\n", name.c_str(),
                     value_to_string(value).c_str());
       }
-      const support::PipelineTrace trace = outcome.trace();
       std::printf("%-8s %7s %7s %10s %10s %10s %9s\n", "stage", "pkts_in",
                   "pkts_out", "busy(s)", "stall_in", "stall_out", "hiwater");
-      for (std::size_t s = 0; s < trace.filters.size(); ++s) {
-        const support::FilterMetrics& f = trace.filters[s];
-        const std::int64_t hiwater =
-            s < trace.links.size() ? trace.links[s].occupancy_high_water : 0;
+      for (std::size_t s = 0; s < outcome.stage_metrics.size(); ++s) {
+        const support::FilterMetrics& f = outcome.stage_metrics[s];
+        std::int64_t hiwater = 0;
+        if (s < outcome.link_metrics.size())
+          hiwater = outcome.link_metrics[s].occupancy_high_water;
         std::printf("%-8s %7lld %7lld %10.4f %10.4f %10.4f %9lld\n",
                     f.name.c_str(), static_cast<long long>(f.packets_in),
                     static_cast<long long>(f.packets_out), f.busy_seconds(),
                     f.stall_input_seconds, f.stall_output_seconds,
                     static_cast<long long>(hiwater));
       }
-      const int bottleneck = trace.bottleneck_filter();
+      const int bottleneck = outcome.bottleneck_filter();
       if (bottleneck >= 0) {
-        std::printf("measured bottleneck: %s\n",
-                    trace.filters[static_cast<std::size_t>(bottleneck)]
-                        .name.c_str());
+        const std::string& name =
+            outcome.stage_metrics[static_cast<std::size_t>(bottleneck)].name;
+        std::printf("measured bottleneck: %s\n", name.c_str());
       }
       if (outcome.pool.acquires > 0 || outcome.batch_size > 1) {
         std::printf(
@@ -547,17 +547,12 @@ int main(int argc, char** argv) {
       }
       if (!outcome.faults.empty() ||
           fault_policy.action != dc::FaultAction::kFailFast) {
-        std::int64_t retries = 0;
-        std::int64_t dropped = 0;
-        for (const support::FilterMetrics& f : outcome.stage_metrics) {
-          retries += f.retries;
-          dropped += f.dropped_packets;
-        }
         std::printf(
             "fault policy %s: %zu fault(s), %lld retried, %lld packet(s) "
             "dropped\n",
             outcome.fault_policy.c_str(), outcome.faults.size(),
-            static_cast<long long>(retries), static_cast<long long>(dropped));
+            static_cast<long long>(outcome.total_retries()),
+            static_cast<long long>(outcome.total_dropped_packets()));
         for (const support::FaultRecord& f : outcome.faults) {
           std::printf("  fault [%s] %s#%d packet %lld: %s\n",
                       support::fault_resolution_name(f.resolution),

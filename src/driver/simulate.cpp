@@ -56,7 +56,7 @@ double simulate_run(const PipelineRunResult& run, const EnvironmentSpec& env) {
 void write_trace_json(const PipelineRunResult& run, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write trace file: " + path);
-  out << support::trace_to_json(run.trace()) << '\n';
+  out << support::trace_to_json(run) << '\n';
   if (!out) throw std::runtime_error("error writing trace file: " + path);
 }
 

@@ -80,6 +80,23 @@ void FilterMetrics::merge(const FilterMetrics& other) {
   latency.merge(other.latency);
 }
 
+void LinkMetrics::merge(const LinkMetrics& other) {
+  buffers += other.buffers;
+  bytes += other.bytes;
+  batches += other.batches;
+  capacity = std::max(capacity, other.capacity);
+  occupancy_high_water =
+      std::max(occupancy_high_water, other.occupancy_high_water);
+  dropped_buffers += other.dropped_buffers;
+  producer_block_seconds += other.producer_block_seconds;
+  consumer_block_seconds += other.consumer_block_seconds;
+  if (transport.empty()) transport = other.transport;
+  frames += other.frames;
+  wire_bytes += other.wire_bytes;
+  send_wait_seconds += other.send_wait_seconds;
+  recv_wait_seconds += other.recv_wait_seconds;
+}
+
 void PoolClassMetrics::merge(const PoolClassMetrics& other) {
   acquires += other.acquires;
   hits += other.hits;
@@ -151,14 +168,58 @@ void HeartbeatMetrics::merge(const HeartbeatMetrics& other) {
 int PipelineTrace::bottleneck_filter() const {
   int best = -1;
   double best_busy = -1.0;
-  for (std::size_t i = 0; i < filters.size(); ++i) {
-    const double busy = filters[i].busy_seconds();
+  for (std::size_t i = 0; i < stage_metrics.size(); ++i) {
+    const double busy = stage_metrics[i].busy_seconds();
     if (busy > best_busy) {
       best_busy = busy;
       best = static_cast<int>(i);
     }
   }
   return best;
+}
+
+std::int64_t PipelineTrace::total_retries() const {
+  std::int64_t n = 0;
+  for (const FilterMetrics& m : stage_metrics) n += m.retries;
+  return n;
+}
+
+std::int64_t PipelineTrace::total_dropped_packets() const {
+  std::int64_t n = 0;
+  for (const FilterMetrics& m : stage_metrics) n += m.dropped_packets;
+  return n;
+}
+
+void PipelineTrace::merge(const PipelineTrace& other) {
+  wall_seconds = std::max(wall_seconds, other.wall_seconds);
+  packets += other.packets;
+  if (stage_metrics.size() < other.stage_metrics.size())
+    stage_metrics.resize(other.stage_metrics.size());
+  for (std::size_t i = 0; i < other.stage_metrics.size(); ++i)
+    stage_metrics[i].merge(other.stage_metrics[i]);
+  if (link_metrics.size() < other.link_metrics.size())
+    link_metrics.resize(other.link_metrics.size());
+  for (std::size_t i = 0; i < other.link_metrics.size(); ++i)
+    link_metrics[i].merge(other.link_metrics[i]);
+  batch_size = std::max(batch_size, other.batch_size);
+  pool.merge(other.pool);
+  if (stage_replicas.empty()) stage_replicas = other.stage_replicas;
+  faults.insert(faults.end(), other.faults.begin(), other.faults.end());
+  if (fault_policy.empty()) fault_policy = other.fault_policy;
+  checkpoints.insert(checkpoints.end(), other.checkpoints.begin(),
+                     other.checkpoints.end());
+  respawns.insert(respawns.end(), other.respawns.begin(), other.respawns.end());
+  for (const HeartbeatMetrics& h : other.heartbeats) {
+    auto it = heartbeats.begin();
+    while (it != heartbeats.end() && it->group != h.group) ++it;
+    if (it == heartbeats.end())
+      heartbeats.push_back(h);
+    else
+      it->merge(h);
+  }
+  degraded = degraded || other.degraded;
+  completed = completed && other.completed;
+  if (error.empty()) error = other.error;
 }
 
 namespace {
@@ -194,7 +255,7 @@ LatencySummary latency_from_json(const Json& j) {
 
 std::string trace_to_json(const PipelineTrace& trace, int indent) {
   Json::Array filters;
-  for (const FilterMetrics& f : trace.filters) {
+  for (const FilterMetrics& f : trace.stage_metrics) {
     Json jf{Json::Object{}};
     jf.set("name", Json(f.name));
     jf.set("copies", Json(f.copies));
@@ -214,7 +275,7 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
     filters.push_back(std::move(jf));
   }
   Json::Array links;
-  for (const LinkMetrics& l : trace.links) {
+  for (const LinkMetrics& l : trace.link_metrics) {
     Json jl{Json::Object{}};
     jl.set("buffers", Json(l.buffers));
     jl.set("bytes", Json(l.bytes));
@@ -292,11 +353,11 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
                                ? Json(nullptr)
                                : Json(trace.fault_policy));
   const int bottleneck = trace.bottleneck_filter();
-  root.set("bottleneck_filter",
-           bottleneck >= 0 ? Json(trace.filters[static_cast<std::size_t>(
-                                                    bottleneck)]
-                                      .name)
-                           : Json(nullptr));
+  Json bottleneck_name(nullptr);
+  if (bottleneck >= 0)
+    bottleneck_name =
+        Json(trace.stage_metrics[static_cast<std::size_t>(bottleneck)].name);
+  root.set("bottleneck_filter", std::move(bottleneck_name));
   root.set("batch_size", Json(trace.batch_size));
   Json::Array stage_replicas;
   for (int r : trace.stage_replicas)
@@ -377,7 +438,7 @@ PipelineTrace trace_from_json(const std::string& text) {
     if (jf.contains("checkpoints"))
       f.checkpoints = jf.at("checkpoints").as_int();
     f.latency = latency_from_json(jf.at("latency"));
-    trace.filters.push_back(std::move(f));
+    trace.stage_metrics.push_back(std::move(f));
   }
   // Transport counters; absent in documents written before batching/pooling.
   if (root.contains("batch_size"))
@@ -430,7 +491,7 @@ PipelineTrace trace_from_json(const std::string& text) {
       l.send_wait_seconds = jl.at("send_wait_seconds").as_number();
     if (jl.contains("recv_wait_seconds"))
       l.recv_wait_seconds = jl.at("recv_wait_seconds").as_number();
-    trace.links.push_back(l);
+    trace.link_metrics.push_back(l);
   }
   if (root.contains("faults")) {
     for (const Json& jf : root.at("faults").as_array()) {

@@ -98,6 +98,12 @@ struct LinkMetrics {
   std::int64_t wire_bytes = 0;
   double send_wait_seconds = 0.0;
   double recv_wait_seconds = 0.0;
+
+  /// Folds another slice of the same link (the other endpoint's view, or
+  /// an earlier self-healing attempt): counters and waits sum, capacity
+  /// and occupancy high-water take the max, and a non-empty transport wins
+  /// over an empty one.
+  void merge(const LinkMetrics& other);
 };
 
 /// Per-size-class buffer-pool counters (trace v6): activity of one
@@ -212,12 +218,18 @@ struct HeartbeatMetrics {
   void merge(const HeartbeatMetrics& other);
 };
 
-/// Complete observability record of one pipeline run.
+/// Complete observability record of one pipeline run: the runner returns
+/// it, the compiled pipeline's result extends it, worker processes ship
+/// their slice of it to the supervisor, and --trace writes it to disk.
 struct PipelineTrace {
   double wall_seconds = 0.0;
+  /// Packets the run moved: stage 0's packets_out on a plain runner run;
+  /// the compiled and manual pipelines keep their sources' own count.
   std::int64_t packets = 0;
-  std::vector<FilterMetrics> filters;
-  std::vector<LinkMetrics> links;
+  /// Per stage, aggregated over copies (serialized as "filters"), and per
+  /// link between consecutive stages (serialized as "links").
+  std::vector<FilterMetrics> stage_metrics;
+  std::vector<LinkMetrics> link_metrics;
   /// Transport configuration and pool effectiveness for this run: the
   /// configured producer-side coalescing factor and the buffer-pool
   /// counters (all zero when the run predates pooling or disabled it).
@@ -248,6 +260,18 @@ struct PipelineTrace {
   /// Index of the filter with the largest busy time (-1 when empty) — the
   /// measured bottleneck stage of the paper's analysis.
   int bottleneck_filter() const;
+  /// Sum of supervisor retries / dropped packets over all stages.
+  std::int64_t total_retries() const;
+  std::int64_t total_dropped_packets() const;
+  /// Folds another record of the same run into this one — a worker
+  /// process's slice, a single fault it reported, or an earlier
+  /// self-healing attempt. `packets` sums, stage and link entries merge
+  /// index by index (growing to the longer list), event lists (faults,
+  /// checkpoints, respawns) append in order, heartbeats merge by group,
+  /// the pool merges by size class, wall time and batch size take the max,
+  /// the run stays completed only if both were and is degraded if either
+  /// was, and an empty policy, replica plan or error takes the other's.
+  void merge(const PipelineTrace& other);
 };
 
 /// Serializes to the cgpipe-trace-v8 schema documented in

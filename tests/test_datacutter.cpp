@@ -796,7 +796,6 @@ class CountingSource : public Filter {
       Buffer b;
       b.write<std::int64_t>(i);
       ctx.emit(std::move(b));
-      ctx.add_ops(1.0);
     }
   }
 
@@ -812,7 +811,6 @@ class Doubler : public Filter {
       Buffer out;
       out.write<std::int64_t>(v * 2);
       ctx.emit(std::move(out));
-      ctx.add_ops(1.0);
     }
   }
 };
@@ -846,13 +844,12 @@ TEST(Runner, ThreeStagePipeline) {
   groups.push_back({"double", [] { return std::make_unique<Doubler>(); }, 1, 1});
   groups.push_back({"sink", [state] { return std::make_unique<SumSink>(state); }, 1, 2});
   PipelineRunner runner(std::move(groups));
-  RunStats stats = runner.run();
+  support::PipelineTrace stats = runner.run();
   EXPECT_EQ(state->total, 2 * (99 * 100 / 2));
   EXPECT_EQ(state->buffers, 100);
-  ASSERT_EQ(stats.link_buffers.size(), 2u);
-  EXPECT_EQ(stats.link_buffers[0], 100);
-  EXPECT_EQ(stats.link_bytes[0], 800);
-  EXPECT_DOUBLE_EQ(stats.group_ops[0], 100.0);
+  ASSERT_EQ(stats.link_metrics.size(), 2u);
+  EXPECT_EQ(stats.link_metrics[0].buffers, 100);
+  EXPECT_EQ(stats.link_metrics[0].bytes, 800);
 }
 
 TEST(Runner, TransparentCopiesPreserveResults) {
@@ -886,7 +883,7 @@ TEST(StreamBatch, BatchedPipelineMatchesUnbatched) {
     config.stream_capacity = 4;
     config.batch_size = batch;
     PipelineRunner runner(std::move(groups), config);
-    RunStats stats = runner.run();
+    support::PipelineTrace stats = runner.run();
     EXPECT_EQ(state->total, 2 * (99 * 100 / 2)) << "batch " << batch;
     EXPECT_EQ(state->buffers, 100);
     ASSERT_EQ(stats.link_metrics.size(), 2u);
@@ -954,7 +951,7 @@ TEST(StreamBatch, PooledPipelineRecyclesStorage) {
   config.stream_capacity = 4;
   config.batch_size = 4;
   PipelineRunner runner(std::move(groups), config);
-  RunStats stats = runner.run();
+  support::PipelineTrace stats = runner.run();
   EXPECT_EQ(state->total, 2 * (199 * 200 / 2));
   EXPECT_EQ(state->buffers, 200);
   // 400 acquires total; only the warm-up handful (bounded by the number of
@@ -1014,12 +1011,12 @@ TEST(Runner, CollectsPerGroupAndPerLinkMetrics) {
   groups.push_back({"sink", [] { return std::make_unique<SlowSink>(); }, 1, 1});
   // Capacity-1 stream: the fast source must stall on backpressure.
   PipelineRunner runner(std::move(groups), /*stream_capacity=*/1);
-  RunStats stats = runner.run();
+  support::PipelineTrace stats = runner.run();
 
-  ASSERT_EQ(stats.group_metrics.size(), 2u);
+  ASSERT_EQ(stats.stage_metrics.size(), 2u);
   ASSERT_EQ(stats.link_metrics.size(), 1u);
-  const support::FilterMetrics& source = stats.group_metrics[0];
-  const support::FilterMetrics& sink = stats.group_metrics[1];
+  const support::FilterMetrics& source = stats.stage_metrics[0];
+  const support::FilterMetrics& sink = stats.stage_metrics[1];
   EXPECT_EQ(source.name, "source");
   EXPECT_EQ(source.copies, 1);
   EXPECT_EQ(source.packets_out, 20);
@@ -1041,9 +1038,9 @@ TEST(Runner, CollectsPerGroupAndPerLinkMetrics) {
   EXPECT_EQ(link.occupancy_high_water, 1);
   EXPECT_GT(link.producer_block_seconds, 0.01);
 
-  support::PipelineTrace trace = stats.trace();
+  support::PipelineTrace trace = stats;
   EXPECT_EQ(trace.packets, 20);
-  ASSERT_EQ(trace.filters.size(), 2u);
+  ASSERT_EQ(trace.stage_metrics.size(), 2u);
   EXPECT_EQ(trace.bottleneck_filter(), 1);  // the sleeping sink
 }
 
@@ -1055,16 +1052,16 @@ TEST(Runner, MetricsAggregateAcrossCopies) {
   groups.push_back({"double", [] { return std::make_unique<Doubler>(); }, 3, 1});
   groups.push_back({"sink", [state] { return std::make_unique<SumSink>(state); }, 1, 2});
   PipelineRunner runner(std::move(groups));
-  RunStats stats = runner.run();
-  ASSERT_EQ(stats.group_metrics.size(), 3u);
-  EXPECT_EQ(stats.group_metrics[0].copies, 2);
-  EXPECT_EQ(stats.group_metrics[1].copies, 3);
-  EXPECT_EQ(stats.group_metrics[0].packets_out, 32);
-  EXPECT_EQ(stats.group_metrics[1].packets_in, 32);
-  EXPECT_EQ(stats.group_metrics[1].packets_out, 32);
-  EXPECT_EQ(stats.group_metrics[2].packets_in, 32);
-  EXPECT_EQ(stats.group_metrics[2].bytes_in, 32 * 8);
-  EXPECT_GT(stats.group_metrics[1].total_seconds, 0.0);
+  support::PipelineTrace stats = runner.run();
+  ASSERT_EQ(stats.stage_metrics.size(), 3u);
+  EXPECT_EQ(stats.stage_metrics[0].copies, 2);
+  EXPECT_EQ(stats.stage_metrics[1].copies, 3);
+  EXPECT_EQ(stats.stage_metrics[0].packets_out, 32);
+  EXPECT_EQ(stats.stage_metrics[1].packets_in, 32);
+  EXPECT_EQ(stats.stage_metrics[1].packets_out, 32);
+  EXPECT_EQ(stats.stage_metrics[2].packets_in, 32);
+  EXPECT_EQ(stats.stage_metrics[2].bytes_in, 32 * 8);
+  EXPECT_GT(stats.stage_metrics[1].total_seconds, 0.0);
 }
 
 TEST(Runner, AbortedRunStillReportsConsistentMetrics) {

@@ -248,7 +248,7 @@ TEST(RestartCopy, ReplaysInflightPacketAndCompletes) {
   EXPECT_EQ(outcome.stats.total_dropped_packets(), 0);
   EXPECT_EQ(outcome.stats.fault_policy, "restart-copy");
   // The trace carries the fault surface.
-  const support::PipelineTrace trace = outcome.stats.trace();
+  const support::PipelineTrace trace = outcome.stats;
   ASSERT_EQ(trace.faults.size(), 1u);
   EXPECT_TRUE(trace.completed);
   EXPECT_EQ(trace.fault_policy, "restart-copy");
@@ -272,7 +272,7 @@ TEST(RestartCopy, SourceRestartDeliversExactlyOnce) {
   ASSERT_EQ(outcome.stats.faults.size(), 1u);
   EXPECT_EQ(outcome.stats.faults[0].resolution,
             support::FaultResolution::kRetried);
-  EXPECT_EQ(outcome.stats.group_metrics[0].retries, 1);
+  EXPECT_EQ(outcome.stats.stage_metrics[0].retries, 1);
 }
 
 TEST(RestartCopy, RepeatedTransientFaultsAllRecover) {
@@ -320,7 +320,7 @@ TEST(RestartCopy, PoisonPacketExhaustsRetriesAndKillsCopy) {
   EXPECT_EQ(outcome.stats.faults.back().resolution,
             support::FaultResolution::kCopyDead);
   // The source still ran to completion: the dead stage drained its input.
-  EXPECT_EQ(outcome.stats.group_metrics[0].packets_out, 20);
+  EXPECT_EQ(outcome.stats.stage_metrics[0].packets_out, 20);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ TEST(DropPacket, SkipsPoisonedPacketAndCompletes) {
   ASSERT_EQ(outcome.stats.faults.size(), 1u);
   EXPECT_EQ(outcome.stats.faults[0].resolution,
             support::FaultResolution::kDroppedPacket);
-  EXPECT_EQ(outcome.stats.group_metrics[2].dropped_packets, 1);
+  EXPECT_EQ(outcome.stats.stage_metrics[2].dropped_packets, 1);
 }
 
 TEST(DropPacket, PersistentFaultKillsStageAndDrainsUpstream) {
@@ -376,11 +376,11 @@ TEST(DropPacket, PersistentFaultKillsStageAndDrainsUpstream) {
             support::FaultResolution::kCopyDead);
   // Upstream finished (drain unblocked it) and the drained buffers are
   // accounted on the link.
-  EXPECT_EQ(outcome.stats.group_metrics[0].packets_out, 500);
+  EXPECT_EQ(outcome.stats.stage_metrics[0].packets_out, 500);
   ASSERT_EQ(outcome.stats.link_metrics.size(), 2u);
   EXPECT_GE(outcome.stats.link_metrics[0].dropped_buffers, 490);
   // Downstream saw end-of-stream, not a hang.
-  EXPECT_EQ(outcome.stats.group_metrics[2].packets_in, 0);
+  EXPECT_EQ(outcome.stats.stage_metrics[2].packets_in, 0);
 }
 
 TEST(DropPacket, CorruptionCaughtByValidatingSinkIsDropped) {
@@ -431,8 +431,8 @@ TEST(FailFast, RunSupervisedKeepsPartialStatsAndError) {
   ASSERT_EQ(outcome.stats.faults.size(), 1u);
   EXPECT_EQ(outcome.stats.faults[0].resolution,
             support::FaultResolution::kFatal);
-  ASSERT_EQ(outcome.stats.group_metrics.size(), 2u);
-  EXPECT_GT(outcome.stats.group_metrics[0].packets_out, 0);
+  ASSERT_EQ(outcome.stats.stage_metrics.size(), 2u);
+  EXPECT_GT(outcome.stats.stage_metrics[0].packets_out, 0);
   ASSERT_EQ(outcome.stats.link_metrics.size(), 1u);
 }
 
@@ -598,12 +598,12 @@ TEST(FlakyLink, DropsPacketsDeterministically) {
                     1, 1});
   groups.push_back(sink_group("sink", state, 2));
   PipelineRunner runner(std::move(groups), 8);
-  RunStats stats = runner.run();
+  support::PipelineTrace stats = runner.run();
   std::multiset<std::int64_t> expected = expected_values(30, 0);
   expected.erase(expected.find(4));
   EXPECT_EQ(state->values, expected);
-  EXPECT_EQ(stats.group_metrics[1].packets_in, 30);
-  EXPECT_EQ(stats.group_metrics[1].packets_out, 29);
+  EXPECT_EQ(stats.stage_metrics[1].packets_in, 30);
+  EXPECT_EQ(stats.stage_metrics[1].packets_out, 29);
 }
 
 TEST(FaultInjectingFilter, WrapsOneGroupOnly) {
@@ -788,15 +788,15 @@ TEST(BatchedFaults, DeadStageAccountsUnreadBatchedBuffersAsDropped) {
       support::make_fault_hook(support::parse_fault_plan("mid:throw@0!")));
   RunOutcome outcome = runner.run_supervised();
   EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.stats.group_metrics[0].packets_out, 200);
+  EXPECT_EQ(outcome.stats.stage_metrics[0].packets_out, 200);
   ASSERT_EQ(outcome.stats.link_metrics.size(), 2u);
   const support::LinkMetrics& in_link = outcome.stats.link_metrics[0];
   EXPECT_EQ(in_link.buffers, 200);
-  EXPECT_EQ(outcome.stats.group_metrics[1].dropped_packets +
+  EXPECT_EQ(outcome.stats.stage_metrics[1].dropped_packets +
                 in_link.dropped_buffers,
             200);
   // Downstream saw a clean end-of-stream, not a hang.
-  EXPECT_EQ(outcome.stats.group_metrics[2].packets_in, 0);
+  EXPECT_EQ(outcome.stats.stage_metrics[2].packets_in, 0);
 }
 
 TEST(BatchedFaults, StressExactlyOnceAcrossSeedsAndBatchSizes) {
@@ -850,7 +850,7 @@ TEST(CheckpointedRecovery, StatefulSinkStateSurvivesRestart) {
     EXPECT_EQ(outcome.stats.faults[0].resolution,
               support::FaultResolution::kRestoredCheckpoint);
     EXPECT_EQ(outcome.stats.total_dropped_packets(), 0);
-    EXPECT_GE(outcome.stats.group_metrics[2].checkpoints, 1);
+    EXPECT_GE(outcome.stats.stage_metrics[2].checkpoints, 1);
   }
 }
 
@@ -874,7 +874,7 @@ TEST(CheckpointedRecovery, MidStageRestartDedupsReemissions) {
   ASSERT_EQ(outcome.stats.faults.size(), 1u);
   EXPECT_EQ(outcome.stats.faults[0].resolution,
             support::FaultResolution::kRestoredCheckpoint);
-  EXPECT_GE(outcome.stats.group_metrics[1].checkpoints, 1);
+  EXPECT_GE(outcome.stats.stage_metrics[1].checkpoints, 1);
   EXPECT_EQ(outcome.stats.total_dropped_packets(), 0);
 }
 
@@ -901,7 +901,7 @@ TEST(CheckpointedRecovery, WithoutSnapshotFallsBackToInflightReplay) {
   ASSERT_EQ(outcome.stats.faults.size(), 1u);
   EXPECT_EQ(outcome.stats.faults[0].resolution,
             support::FaultResolution::kRetried);
-  EXPECT_EQ(outcome.stats.group_metrics[2].checkpoints, 0);
+  EXPECT_EQ(outcome.stats.stage_metrics[2].checkpoints, 0);
 }
 
 TEST(CheckpointedRecovery, MidSnapshotFaultKeepsPreviousSnapshot) {
@@ -927,7 +927,7 @@ TEST(CheckpointedRecovery, MidSnapshotFaultKeepsPreviousSnapshot) {
             support::FaultResolution::kRestoredCheckpoint);
   // The failed commit does not count; the surviving instance keeps
   // snapshotting on the interval.
-  EXPECT_GE(outcome.stats.group_metrics[2].checkpoints, 2);
+  EXPECT_GE(outcome.stats.stage_metrics[2].checkpoints, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -1244,7 +1244,7 @@ TEST(RunLevelCheckpoint, ReplicatedResumeAfterFatalFaultCompletesExactly) {
     EXPECT_EQ(state->total, expected_total(32, 1));
     EXPECT_EQ(state->count, 32);
     // Only the uncovered suffix was re-emitted.
-    EXPECT_EQ(outcome.stats.group_metrics[0].packets_out,
+    EXPECT_EQ(outcome.stats.stage_metrics[0].packets_out,
               32 - cut.source_delivered);
   }
 }
@@ -1300,7 +1300,7 @@ TEST(RunLevelCheckpoint, ResumeAfterFatalFaultCompletesExactly) {
     EXPECT_EQ(state->total, expected_total(32, 1));
     EXPECT_EQ(state->count, 32);
     // Only the uncovered suffix was re-emitted.
-    EXPECT_EQ(outcome.stats.group_metrics[0].packets_out, 32 - 12);
+    EXPECT_EQ(outcome.stats.stage_metrics[0].packets_out, 32 - 12);
   }
 }
 
@@ -1608,7 +1608,7 @@ TEST(FaultStress, SleepFaultsOnlyDelayTheRun) {
   PipelineRunner runner(std::move(groups), 8);
   runner.set_packet_hook(support::make_fault_hook(
       support::parse_fault_plan("mid:sleep@~0.1=0.002", 5)));
-  RunStats stats = runner.run();
+  support::PipelineTrace stats = runner.run();
   EXPECT_EQ(state->values, expected_values(60, 1));
   EXPECT_TRUE(stats.faults.empty());  // sleeps are not failures
 }

@@ -436,7 +436,7 @@ class App {
   EXPECT_EQ(run.faults[0].resolution, support::FaultResolution::kRetried);
   EXPECT_EQ(run.fault_policy, "restart-copy");
   // The trace carries the fault surface end to end.
-  const support::PipelineTrace trace = run.trace();
+  const support::PipelineTrace& trace = run;
   EXPECT_TRUE(trace.completed);
   ASSERT_EQ(trace.faults.size(), 1u);
 }

@@ -127,7 +127,7 @@ PipelineTrace sample_trace() {
   sink.total_seconds = 1.2;
   sink.stall_input_seconds = 0.25;
   sink.latency.record(5e-5);
-  trace.filters = {source, sink};
+  trace.stage_metrics = {source, sink};
   LinkMetrics link;
   link.buffers = 16;
   link.bytes = 4096;
@@ -135,7 +135,7 @@ PipelineTrace sample_trace() {
   link.occupancy_high_water = 7;
   link.producer_block_seconds = 0.5;
   link.consumer_block_seconds = 0.25;
-  trace.links = {link};
+  trace.link_metrics = {link};
   return trace;
 }
 
@@ -146,8 +146,8 @@ TEST(Trace, JsonRoundTripPreservesEveryField) {
 
   EXPECT_DOUBLE_EQ(back.wall_seconds, trace.wall_seconds);
   EXPECT_EQ(back.packets, trace.packets);
-  ASSERT_EQ(back.filters.size(), 2u);
-  const FilterMetrics& src = back.filters[0];
+  ASSERT_EQ(back.stage_metrics.size(), 2u);
+  const FilterMetrics& src = back.stage_metrics[0];
   EXPECT_EQ(src.name, "stage0");
   EXPECT_EQ(src.copies, 2);
   EXPECT_EQ(src.packets_out, 16);
@@ -159,10 +159,10 @@ TEST(Trace, JsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(src.latency.min_seconds, 1e-4);
   EXPECT_DOUBLE_EQ(src.latency.max_seconds, 2e-4);
   EXPECT_EQ(src.latency.histogram.total(), 2);
-  ASSERT_EQ(back.links.size(), 1u);
-  EXPECT_EQ(back.links[0].occupancy_high_water, 7);
-  EXPECT_EQ(back.links[0].capacity, 16);
-  EXPECT_DOUBLE_EQ(back.links[0].producer_block_seconds, 0.5);
+  ASSERT_EQ(back.link_metrics.size(), 1u);
+  EXPECT_EQ(back.link_metrics[0].occupancy_high_water, 7);
+  EXPECT_EQ(back.link_metrics[0].capacity, 16);
+  EXPECT_DOUBLE_EQ(back.link_metrics[0].producer_block_seconds, 0.5);
 
   // A second round trip is byte-identical: the schema is stable.
   EXPECT_EQ(trace_to_json(back), json);
@@ -171,7 +171,7 @@ TEST(Trace, JsonRoundTripPreservesEveryField) {
 TEST(Trace, BottleneckIsLargestBusyFilter) {
   PipelineTrace trace = sample_trace();
   EXPECT_EQ(trace.bottleneck_filter(), 0);  // source busy 1.5 vs sink 0.95
-  trace.filters[1].total_seconds = 5.0;
+  trace.stage_metrics[1].total_seconds = 5.0;
   EXPECT_EQ(trace.bottleneck_filter(), 1);
   EXPECT_EQ(PipelineTrace{}.bottleneck_filter(), -1);
 }
@@ -224,10 +224,10 @@ TEST(Trace, RoundTripPreservesFaultSurface) {
   trace.fault_policy = "restart-copy";
   trace.completed = false;
   trace.error = "group 'stage1': all 1 copies dead after bounded retries";
-  trace.filters[1].faults = 2;
-  trace.filters[1].retries = 1;
-  trace.filters[1].dropped_packets = 1;
-  trace.links[0].dropped_buffers = 3;
+  trace.stage_metrics[1].faults = 2;
+  trace.stage_metrics[1].retries = 1;
+  trace.stage_metrics[1].dropped_packets = 1;
+  trace.link_metrics[0].dropped_buffers = 3;
   FaultRecord fault;
   fault.group = "stage1";
   fault.copy = 0;
@@ -251,17 +251,17 @@ TEST(Trace, RoundTripPreservesFaultSurface) {
   EXPECT_EQ(back.faults[0].attempt, 1);
   EXPECT_EQ(back.faults[0].resolution, FaultResolution::kRetried);
   EXPECT_DOUBLE_EQ(back.faults[0].at_seconds, 0.125);
-  EXPECT_EQ(back.filters[1].faults, 2);
-  EXPECT_EQ(back.filters[1].retries, 1);
-  EXPECT_EQ(back.filters[1].dropped_packets, 1);
-  EXPECT_EQ(back.links[0].dropped_buffers, 3);
+  EXPECT_EQ(back.stage_metrics[1].faults, 2);
+  EXPECT_EQ(back.stage_metrics[1].retries, 1);
+  EXPECT_EQ(back.stage_metrics[1].dropped_packets, 1);
+  EXPECT_EQ(back.link_metrics[0].dropped_buffers, 3);
   // The fault surface survives a second round trip byte-identically.
   EXPECT_EQ(trace_to_json(back), json);
 }
 
 TEST(Trace, RoundTripPreservesCheckpointSurface) {
   PipelineTrace trace = sample_trace();
-  trace.filters[1].checkpoints = 3;
+  trace.stage_metrics[1].checkpoints = 3;
   CheckpointRecord cut;
   cut.id = 2;
   cut.group = "run";
@@ -284,7 +284,7 @@ TEST(Trace, RoundTripPreservesCheckpointSurface) {
 
   const std::string json = trace_to_json(trace);
   const PipelineTrace back = trace_from_json(json);
-  EXPECT_EQ(back.filters[1].checkpoints, 3);
+  EXPECT_EQ(back.stage_metrics[1].checkpoints, 3);
   ASSERT_EQ(back.checkpoints.size(), 2u);
   EXPECT_EQ(back.checkpoints[0].id, 2);
   EXPECT_EQ(back.checkpoints[0].group, "run");
@@ -335,7 +335,7 @@ TEST(Trace, ReadsV2DocumentsWithZeroCheckpointSurface) {
   json.replace(pos, 15, "cgpipe-trace-v2");
   const PipelineTrace back = trace_from_json(json);
   EXPECT_TRUE(back.checkpoints.empty());
-  EXPECT_EQ(back.filters[1].checkpoints, 0);
+  EXPECT_EQ(back.stage_metrics[1].checkpoints, 0);
 }
 
 TEST(Trace, ReadsV1DocumentsWithZeroFaultSurface) {
@@ -387,20 +387,20 @@ TEST(Trace, RoundTripPreservesPoolClassBreakdown) {
 
 TEST(Trace, RoundTripPreservesLinkTransportSurface) {
   PipelineTrace trace = sample_trace();
-  trace.links[0].transport = "proc";
-  trace.links[0].frames = 128;
-  trace.links[0].wire_bytes = 65536;
-  trace.links[0].send_wait_seconds = 0.25;
-  trace.links[0].recv_wait_seconds = 0.125;
+  trace.link_metrics[0].transport = "proc";
+  trace.link_metrics[0].frames = 128;
+  trace.link_metrics[0].wire_bytes = 65536;
+  trace.link_metrics[0].send_wait_seconds = 0.25;
+  trace.link_metrics[0].recv_wait_seconds = 0.125;
 
   const std::string json = trace_to_json(trace);
   const PipelineTrace back = trace_from_json(json);
-  ASSERT_EQ(back.links.size(), trace.links.size());
-  EXPECT_EQ(back.links[0].transport, "proc");
-  EXPECT_EQ(back.links[0].frames, 128);
-  EXPECT_EQ(back.links[0].wire_bytes, 65536);
-  EXPECT_DOUBLE_EQ(back.links[0].send_wait_seconds, 0.25);
-  EXPECT_DOUBLE_EQ(back.links[0].recv_wait_seconds, 0.125);
+  ASSERT_EQ(back.link_metrics.size(), trace.link_metrics.size());
+  EXPECT_EQ(back.link_metrics[0].transport, "proc");
+  EXPECT_EQ(back.link_metrics[0].frames, 128);
+  EXPECT_EQ(back.link_metrics[0].wire_bytes, 65536);
+  EXPECT_DOUBLE_EQ(back.link_metrics[0].send_wait_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(back.link_metrics[0].recv_wait_seconds, 0.125);
   EXPECT_EQ(trace_to_json(back), json);
 }
 
@@ -413,13 +413,13 @@ TEST(Trace, ReadsV6DocumentsWithoutTransportSurface) {
       R"("buffers":7,"bytes":512,"capacity":4,"occupancy_high_water":3,)"
       R"("producer_block_seconds":0.0,"consumer_block_seconds":0.0}]})";
   const PipelineTrace back = trace_from_json(v6);
-  ASSERT_EQ(back.links.size(), 1u);
-  EXPECT_EQ(back.links[0].buffers, 7);
-  EXPECT_TRUE(back.links[0].transport.empty());
-  EXPECT_EQ(back.links[0].frames, 0);
-  EXPECT_EQ(back.links[0].wire_bytes, 0);
-  EXPECT_DOUBLE_EQ(back.links[0].send_wait_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(back.links[0].recv_wait_seconds, 0.0);
+  ASSERT_EQ(back.link_metrics.size(), 1u);
+  EXPECT_EQ(back.link_metrics[0].buffers, 7);
+  EXPECT_TRUE(back.link_metrics[0].transport.empty());
+  EXPECT_EQ(back.link_metrics[0].frames, 0);
+  EXPECT_EQ(back.link_metrics[0].wire_bytes, 0);
+  EXPECT_DOUBLE_EQ(back.link_metrics[0].send_wait_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(back.link_metrics[0].recv_wait_seconds, 0.0);
 }
 
 TEST(Trace, ReadsV5DocumentsWithoutPoolClasses) {
@@ -508,6 +508,100 @@ TEST(Trace, ReadsV7DocumentsWithoutSelfHealingSurface) {
   EXPECT_FALSE(back.degraded);
   EXPECT_TRUE(back.respawns.empty());
   EXPECT_TRUE(back.heartbeats.empty());
+}
+
+TEST(Trace, MergeFoldsWorkerSlices) {
+  // The supervisor's record: stage names seeded by the runner, counters of
+  // an earlier attempt, and one event of each kind.
+  PipelineTrace run;
+  for (const char* name : {"src", "mid", "sink"})
+    run.stage_metrics.emplace_back().name = name;
+  run.stage_metrics[1].copies = 2;
+  run.stage_metrics[1].packets_in = 5;
+  run.link_metrics.resize(2);
+  run.link_metrics[0].capacity = 16;
+  run.link_metrics[0].buffers = 5;
+  run.link_metrics[1].transport = "proc";
+  run.link_metrics[1].occupancy_high_water = 7;
+  run.link_metrics[1].recv_wait_seconds = 0.5;
+  PoolClassMetrics c6;
+  c6.class_index = 6;
+  c6.acquires = 10;
+  c6.high_water = 4;
+  run.pool.acquires = 10;
+  run.pool.classes.push_back(c6);
+  run.faults.push_back({.group = "sink", .what = "first"});
+  run.checkpoints.push_back({.id = 1, .group = "run"});
+  run.respawns.push_back({.group = "src", .cause = "died (signal 9)"});
+  run.heartbeats.push_back({"src", 3, 0.002, 0.003});
+
+  // Worker 1's end-of-run slice: its stage, its input link's receive wait,
+  // its output link, its pool, and one event of each kind of its own.
+  PipelineTrace slice;
+  slice.stage_metrics.resize(2);
+  slice.stage_metrics[1].copies = 2;
+  slice.stage_metrics[1].packets_in = 40;
+  slice.stage_metrics[1].bytes_out = 320;
+  slice.link_metrics.resize(2);
+  slice.link_metrics[0].transport = "tcp";
+  slice.link_metrics[0].capacity = 8;
+  slice.link_metrics[0].recv_wait_seconds = 0.25;
+  slice.link_metrics[1].buffers = 40;
+  slice.link_metrics[1].occupancy_high_water = 5;
+  slice.link_metrics[1].recv_wait_seconds = 0.25;
+  c6.acquires = 5;
+  c6.high_water = 9;
+  slice.pool.acquires = 5;
+  slice.pool.classes.push_back(c6);
+  slice.faults.push_back({.group = "mid", .what = "second"});
+  slice.checkpoints.push_back({.id = 2, .group = "mid"});
+  slice.respawns.push_back({.group = "mid", .cause = "heartbeat lapse"});
+  slice.heartbeats.push_back({"src", 2, 0.004, 0.005});
+  slice.heartbeats.push_back({"mid", 1, 0.001, 0.001});
+
+  run.merge(slice);
+
+  // Counters sum; stage names survive a slice that carries none.
+  ASSERT_EQ(run.stage_metrics.size(), 3u);
+  EXPECT_EQ(run.stage_metrics[0].name, "src");
+  EXPECT_EQ(run.stage_metrics[1].name, "mid");
+  EXPECT_EQ(run.stage_metrics[2].name, "sink");
+  EXPECT_EQ(run.stage_metrics[1].copies, 4);
+  EXPECT_EQ(run.stage_metrics[1].packets_in, 45);
+  EXPECT_EQ(run.stage_metrics[1].bytes_out, 320);
+  ASSERT_EQ(run.link_metrics.size(), 2u);
+  EXPECT_EQ(run.link_metrics[0].buffers, 5);
+  EXPECT_EQ(run.link_metrics[1].buffers, 40);
+  EXPECT_DOUBLE_EQ(run.link_metrics[0].recv_wait_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(run.link_metrics[1].recv_wait_seconds, 0.75);
+  EXPECT_EQ(run.pool.acquires, 15);
+  // Capacity and high-water marks take the max.
+  EXPECT_EQ(run.link_metrics[0].capacity, 16);
+  EXPECT_EQ(run.link_metrics[1].occupancy_high_water, 7);
+  ASSERT_EQ(run.pool.classes.size(), 1u);
+  EXPECT_EQ(run.pool.classes[0].acquires, 15);
+  EXPECT_EQ(run.pool.classes[0].high_water, 9);
+  // A non-empty transport wins over an empty one, from either side.
+  EXPECT_EQ(run.link_metrics[0].transport, "tcp");
+  EXPECT_EQ(run.link_metrics[1].transport, "proc");
+  // Event lists append in order.
+  ASSERT_EQ(run.faults.size(), 2u);
+  EXPECT_EQ(run.faults[0].what, "first");
+  EXPECT_EQ(run.faults[1].what, "second");
+  ASSERT_EQ(run.checkpoints.size(), 2u);
+  EXPECT_EQ(run.checkpoints[0].id, 1);
+  EXPECT_EQ(run.checkpoints[1].id, 2);
+  ASSERT_EQ(run.respawns.size(), 2u);
+  EXPECT_EQ(run.respawns[0].group, "src");
+  EXPECT_EQ(run.respawns[1].group, "mid");
+  // Heartbeats merge by group.
+  ASSERT_EQ(run.heartbeats.size(), 2u);
+  EXPECT_EQ(run.heartbeats[0].group, "src");
+  EXPECT_EQ(run.heartbeats[0].beats, 5);
+  EXPECT_DOUBLE_EQ(run.heartbeats[0].max_latency_seconds, 0.004);
+  EXPECT_DOUBLE_EQ(run.heartbeats[0].sum_latency_seconds, 0.008);
+  EXPECT_EQ(run.heartbeats[1].group, "mid");
+  EXPECT_EQ(run.heartbeats[1].beats, 1);
 }
 
 TEST(PoolMetrics, MergeCombinesClassesByIndex) {

@@ -111,8 +111,8 @@ TEST(ReplicationStress, ReplicatedWorkerDeliversExactMultiset) {
   RunOutcome outcome = runner.run_supervised();
   ASSERT_TRUE(outcome.ok()) << outcome.stats.error;
   EXPECT_EQ(state->values, expected_values(512, 1));
-  ASSERT_EQ(outcome.stats.group_copies.size(), 3u);
-  EXPECT_EQ(outcome.stats.group_copies[1], 4);
+  ASSERT_EQ(outcome.stats.stage_replicas.size(), 3u);
+  EXPECT_EQ(outcome.stats.stage_replicas[1], 4);
 }
 
 TEST(ReplicationStress, RoundRobinSourcesCoverTheDomain) {

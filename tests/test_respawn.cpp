@@ -304,7 +304,7 @@ FaultPolicy storm_policy() {
   return policy;
 }
 
-int respawns_of(const RunStats& stats, const std::string& group) {
+int respawns_of(const support::PipelineTrace& stats, const std::string& group) {
   return static_cast<int>(
       std::count_if(stats.respawns.begin(), stats.respawns.end(),
                     [&](const support::RespawnRecord& r) {

@@ -504,6 +504,61 @@ TEST(ShmRingTest, SurvivorRecoversWhenPeerKilledHoldingTheRing) {
   }
 }
 
+TEST(ShmRingTest, SurvivorsKeepWakingAfterAParkedPeerIsKilled) {
+  // A peer SIGKILLed while parked in a ring wait must leave nothing the
+  // survivors' wakeups depend on (a process-shared pthread_cond_t keeps the
+  // dead waiter's reference and wedges the next signaller). Two survivor
+  // processes then push 3200 bytes through the 64-byte ring, so both park
+  // and wake each other many times; a wedged survivor fails the test
+  // instead of hanging it.
+  auto ring = ShmRing::create(64);
+  const pid_t parked = ::fork();
+  ASSERT_GE(parked, 0);
+  if (parked == 0) {
+    std::byte buf[8];
+    ring->read_some(buf, sizeof(buf));  // parks on the empty ring
+    ::_exit(0);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ::kill(parked, SIGKILL);
+  int st = 0;
+  while (::waitpid(parked, &st, 0) < 0 && errno == EINTR) {
+  }
+  const pid_t writer = ::fork();
+  ASSERT_GE(writer, 0);
+  if (writer == 0) {
+    const std::vector<std::byte> chunk(16, std::byte{0x5a});
+    for (int i = 0; i < 200; ++i)
+      if (!ring->write_all(chunk.data(), chunk.size())) ::_exit(2);
+    ::_exit(0);
+  }
+  const pid_t reader = ::fork();
+  ASSERT_GE(reader, 0);
+  if (reader == 0) {
+    std::byte buf[16];
+    for (std::size_t got = 0; got < 3200;) {
+      const std::ptrdiff_t n = ring->read_some(buf, sizeof(buf));
+      if (n <= 0) ::_exit(2);
+      got += static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
+  }
+  for (const pid_t survivor : {writer, reader}) {
+    bool exited = false;
+    for (int i = 0; i < 1000 && !exited; ++i) {
+      exited = ::waitpid(survivor, &st, WNOHANG) == survivor;
+      if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!exited) {
+      ::kill(survivor, SIGKILL);
+      while (::waitpid(survivor, &st, 0) < 0 && errno == EINTR) {
+      }
+    }
+    EXPECT_TRUE(exited) << "survivor wedged on the ring for 10 s";
+    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0) << st;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TCP loopback channels
 // ---------------------------------------------------------------------------
@@ -661,7 +716,6 @@ class CountingSource : public Filter {
       Buffer b;
       b.write<std::int64_t>(i);
       ctx.emit(std::move(b));
-      ctx.add_ops(1.0);
     }
   }
 
@@ -677,7 +731,6 @@ class AddOne : public Filter {
       Buffer out;
       out.write<std::int64_t>(v + 1);
       ctx.emit(std::move(out));
-      ctx.add_ops(1.0);
     }
   }
   bool snapshot_state(Buffer&) override { return true; }  // stateless
@@ -785,16 +838,14 @@ TEST_P(BackendPipeline, ThreeStageDeliversExactMultiset) {
   RunOutcome outcome = runner.run_supervised();
   ASSERT_TRUE(outcome.ok()) << outcome.stats.error;
   EXPECT_EQ(state->values, expected_values(100, 1));
-  const RunStats& stats = outcome.stats;
+  const support::PipelineTrace& stats = outcome.stats;
   EXPECT_TRUE(stats.completed);
-  ASSERT_EQ(stats.link_buffers.size(), 2u);
-  EXPECT_EQ(stats.link_buffers[0], 100);
-  EXPECT_EQ(stats.link_bytes[0], 800);
-  EXPECT_DOUBLE_EQ(stats.group_ops[0], 100.0);
-  EXPECT_DOUBLE_EQ(stats.group_ops[1], 100.0);
-  ASSERT_EQ(stats.group_metrics.size(), 3u);
-  EXPECT_EQ(stats.group_metrics[1].packets_in, 100);
-  EXPECT_EQ(stats.group_metrics[2].packets_in, 100);
+  ASSERT_EQ(stats.link_metrics.size(), 2u);
+  EXPECT_EQ(stats.link_metrics[0].buffers, 100);
+  EXPECT_EQ(stats.link_metrics[0].bytes, 800);
+  ASSERT_EQ(stats.stage_metrics.size(), 3u);
+  EXPECT_EQ(stats.stage_metrics[1].packets_in, 100);
+  EXPECT_EQ(stats.stage_metrics[2].packets_in, 100);
   // Trace-v7 wire telemetry: both links crossed a process boundary.
   ASSERT_EQ(stats.link_metrics.size(), 2u);
   for (const support::LinkMetrics& link : stats.link_metrics) {
@@ -816,7 +867,7 @@ TEST_P(BackendPipeline, ReplicatedBatchedPipelineMatches) {
   RunOutcome outcome = runner.run_supervised();
   ASSERT_TRUE(outcome.ok()) << outcome.stats.error;
   EXPECT_EQ(state->values, expected_values(200, 1));
-  const RunStats& stats = outcome.stats;
+  const support::PipelineTrace& stats = outcome.stats;
   EXPECT_EQ(stats.link_metrics[0].buffers, 200);
   // Coalescing survives the wire: fewer enqueues than buffers upstream.
   EXPECT_LT(stats.link_metrics[0].batches, stats.link_metrics[0].buffers);
@@ -913,6 +964,83 @@ TEST_P(BackendPipeline, RunLevelCheckpointCutsFlowAcrossProcesses) {
   ASSERT_EQ(cut.stages.size(), 2u);
   EXPECT_EQ(cut.stages[0].group, "mid");
   EXPECT_EQ(cut.stages[1].group, "sink");
+}
+
+TEST_P(BackendPipeline, TraceMatchesThreadBackendOnDeterministicFields) {
+  // Workers ship their slice of the trace to the supervisor, which merges
+  // it: every field that does not depend on timing or scheduling must come
+  // out exactly as the single-process run records it.
+  const auto trace_on = [](TransportBackend backend) {
+    auto state = std::make_shared<SinkState>();
+    RunnerConfig config;
+    config.backend = backend;
+    config.stream_capacity = 4;
+    config.batch_size = 4;
+    PipelineRunner runner(three_stage(200, 3, state), config);
+    RunOutcome outcome = runner.run_supervised();
+    EXPECT_TRUE(outcome.ok()) << outcome.stats.error;
+    return outcome.stats;
+  };
+  const support::PipelineTrace thread = trace_on(TransportBackend::kThread);
+  const support::PipelineTrace remote = trace_on(GetParam());
+  ASSERT_EQ(remote.stage_metrics.size(), thread.stage_metrics.size());
+  for (std::size_t s = 0; s < thread.stage_metrics.size(); ++s) {
+    const support::FilterMetrics& want = thread.stage_metrics[s];
+    const support::FilterMetrics& got = remote.stage_metrics[s];
+    SCOPED_TRACE("stage " + want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.copies, want.copies);
+    EXPECT_EQ(got.packets_in, want.packets_in);
+    EXPECT_EQ(got.packets_out, want.packets_out);
+    EXPECT_EQ(got.bytes_in, want.bytes_in);
+    EXPECT_EQ(got.bytes_out, want.bytes_out);
+    EXPECT_EQ(got.faults, want.faults);
+    EXPECT_EQ(got.retries, want.retries);
+    EXPECT_EQ(got.dropped_packets, want.dropped_packets);
+    EXPECT_EQ(got.checkpoints, want.checkpoints);
+    EXPECT_EQ(got.latency.count, want.latency.count);
+  }
+  ASSERT_EQ(remote.link_metrics.size(), thread.link_metrics.size());
+  for (std::size_t l = 0; l < thread.link_metrics.size(); ++l) {
+    const support::LinkMetrics& want = thread.link_metrics[l];
+    const support::LinkMetrics& got = remote.link_metrics[l];
+    SCOPED_TRACE("link " + std::to_string(l));
+    EXPECT_EQ(got.buffers, want.buffers);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.capacity, want.capacity);
+    EXPECT_EQ(got.dropped_buffers, want.dropped_buffers);
+  }
+  EXPECT_EQ(remote.stage_replicas, thread.stage_replicas);
+  EXPECT_EQ(remote.batch_size, thread.batch_size);
+  EXPECT_EQ(remote.packets, thread.packets);
+  EXPECT_EQ(remote.completed, thread.completed);
+}
+
+TEST_P(BackendPipeline, WorkerFaultTextCrossesTheWireByteExact) {
+  // A quote, a backslash, a newline, a control byte and a two-byte UTF-8
+  // letter: everything the trace's JSON codec must escape or pass through.
+  static const std::string kWhat = "say \"hi\" \\ then\nbreak \x01 caf\xc3\xa9";
+  struct Throwing : Filter {
+    void process(FilterContext& ctx) override {
+      while (ctx.read()) throw std::runtime_error(kWhat);
+    }
+  };
+  auto state = std::make_shared<SinkState>();
+  std::vector<FilterGroup> groups;
+  groups.push_back(
+      {"src", [] { return std::make_unique<CountingSource>(16); }, 1, 0});
+  groups.push_back({"mid", [] { return std::make_unique<Throwing>(); }, 1, 1});
+  groups.push_back(
+      {"sink", [state] { return std::make_unique<CollectingSink>(state); }, 1,
+       2});
+  RunnerConfig config;
+  config.backend = GetParam();
+  PipelineRunner runner(std::move(groups), config);  // fail-fast default
+  RunOutcome outcome = runner.run_supervised();
+  EXPECT_FALSE(outcome.ok());
+  ASSERT_EQ(outcome.stats.faults.size(), 1u);
+  EXPECT_EQ(outcome.stats.faults[0].group, "mid");
+  EXPECT_EQ(outcome.stats.faults[0].what, kWhat);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendPipeline,
