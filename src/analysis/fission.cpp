@@ -99,122 +99,6 @@ bool stmt_contains_call(const Stmt& stmt) {
   }
 }
 
-void collect_var_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_var_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_var_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_var_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_var_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_var_refs(*binary.lhs, out);
-      collect_var_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      collect_var_refs(*assign.target, out);
-      collect_var_refs(*assign.value, out);
-      return;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_var_refs(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_var_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewObject: {
-      for (const ExprPtr& a :
-           static_cast<const NewObjectExpr&>(expr).args)
-        collect_var_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewArray:
-      collect_var_refs(*static_cast<const NewArrayExpr&>(expr).length, out);
-      return;
-    case NodeKind::RectdomainLit: {
-      for (const auto& dim : static_cast<const RectdomainLit&>(expr).dims) {
-        collect_var_refs(*dim.lo, out);
-        collect_var_refs(*dim.hi, out);
-      }
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_var_refs(*cond.cond, out);
-      collect_var_refs(*cond.then_value, out);
-      collect_var_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-void collect_var_refs(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_var_refs(*decl.init, out);
-      return;
-    }
-    case NodeKind::ExprStmt:
-      collect_var_refs(*static_cast<const ExprStmt&>(stmt).expr, out);
-      return;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_var_refs(*s, out);
-      return;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_var_refs(*if_stmt.cond, out);
-      collect_var_refs(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_var_refs(*if_stmt.else_branch, out);
-      return;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_var_refs(*loop.cond, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_var_refs(*loop.init, out);
-      if (loop.cond) collect_var_refs(*loop.cond, out);
-      if (loop.step) collect_var_refs(*loop.step, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      collect_var_refs(*loop.domain, out);
-      collect_var_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_var_refs(*ret.value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-/// Substitution map: variable name -> factory producing a replacement
-/// expression (a fresh clone per occurrence).
 using Subst = std::map<std::string, std::function<ExprPtr()>>;
 
 ExprPtr transform_expr(const Expr& expr, const Subst& subst);

@@ -12,6 +12,9 @@
 // is loop-carried state, and the filter is *sequential*: giving its stage
 // more than one transparent copy would race packets through shared state.
 //
+// classify_source_setup asks the same independence question of the
+// pre-loop code that synthesizes the dataset (DESIGN.md §6.13).
+//
 // The classification is deliberately syntactic and conservative. Gen/Cons
 // cannot be reused here: imprecise writes never enter Gen (they would
 // under-approximate the mutation set), while this analysis must
@@ -64,5 +67,38 @@ struct PipelineClassification {
 /// statements to be type-checked (expression types drive the
 /// reference-argument conservatism).
 PipelineClassification classify_filters(const PipelineModel& model);
+
+/// A pre-loop fill the source-setup check accepted (DESIGN.md §6.13): a
+/// top-level rectdomain `foreach` that synthesizes `array` one element per
+/// iteration, independently of every other iteration. The PipelinedLoop
+/// reads the array only through `sections`, so a source copy need only
+/// run the iterations its own packets' sections cover.
+struct SetupFill {
+  const ForeachStmt* loop = nullptr;
+  std::string array;
+  /// The distinct rank-1 sections of `array` in input_req, symbolic in
+  /// the packet variable.
+  std::vector<RectSection> sections;
+};
+
+/// Verdict on stage 0's pre-loop setup: which fills each source copy may
+/// run over only its own packets' share.
+struct SourceSetupVerdict {
+  std::vector<SetupFill> fills;  // accepted, one per array
+  /// Why the setup of each other pre-loop array the loop reads runs whole.
+  std::vector<std::string> whole;
+  /// One line per array: "source setup: partitioned fill of cubes over
+  /// [p*psize:p*psize + psize - 1]" or "source setup: whole (<reason>)".
+  std::string to_string() const;
+};
+
+/// Accepts each pre-loop fill of an array A whose body stores only
+/// `A[var] = ...` and into fresh body locals, never reads A, and calls
+/// only intrinsics and transitively pure methods, provided nothing else
+/// reads A (no other pre-loop or post-loop statement mentions it, and the
+/// PipelinedLoop reads it only through rank-1 input_req sections) and no
+/// later pre-loop statement writes a bound of those sections or of the
+/// packet domain. Reuses classify_filters' write and declaration walks.
+SourceSetupVerdict classify_source_setup(const PipelineModel& model);
 
 }  // namespace cgp

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -328,5 +329,13 @@ StmtPtr clone_stmt(const Stmt& s);
 
 /// Pretty-prints a node back to dialect syntax (round-trip tested).
 std::string to_source(const Node& node, int indent = 0);
+
+/// Collects every variable name mentioned below a node, whatever the
+/// position: read, store target, call receiver or argument, allocation
+/// length, domain bound. Declared names and loop variables are not
+/// mentions. Callers use it to prove a name untouched, so a missed
+/// mention would be unsound, not just imprecise.
+void collect_var_refs(const Expr& expr, std::set<std::string>& out);
+void collect_var_refs(const Stmt& stmt, std::set<std::string>& out);
 
 }  // namespace cgp

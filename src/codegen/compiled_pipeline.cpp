@@ -116,160 +116,6 @@ void collect_written_bases(const Stmt& stmt, std::set<std::string>& out) {
   }
 }
 
-void collect_var_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_var_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_var_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_var_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_var_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_var_refs(*binary.lhs, out);
-      collect_var_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_var_refs(*cond.cond, out);
-      collect_var_refs(*cond.then_value, out);
-      collect_var_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-/// Collects every base name mentioned below an expression, whatever the
-/// position (read, write, call receiver/argument, allocation length).
-/// Unlike collect_var_refs this walks all node kinds — passthrough
-/// eligibility must prove a collection is untouched, so a missed mention
-/// would be unsound, not just imprecise.
-void collect_all_refs(const Expr& expr, std::set<std::string>& out) {
-  switch (expr.kind) {
-    case NodeKind::VarRef:
-      out.insert(static_cast<const VarRef&>(expr).name);
-      return;
-    case NodeKind::FieldAccess:
-      collect_all_refs(*static_cast<const FieldAccess&>(expr).base, out);
-      return;
-    case NodeKind::Index: {
-      const auto& index = static_cast<const IndexExpr&>(expr);
-      collect_all_refs(*index.base, out);
-      for (const ExprPtr& i : index.indices) collect_all_refs(*i, out);
-      return;
-    }
-    case NodeKind::Unary:
-      collect_all_refs(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case NodeKind::Binary: {
-      const auto& binary = static_cast<const BinaryExpr&>(expr);
-      collect_all_refs(*binary.lhs, out);
-      collect_all_refs(*binary.rhs, out);
-      return;
-    }
-    case NodeKind::Assign: {
-      const auto& assign = static_cast<const AssignExpr&>(expr);
-      collect_all_refs(*assign.target, out);
-      collect_all_refs(*assign.value, out);
-      return;
-    }
-    case NodeKind::Call: {
-      const auto& call = static_cast<const CallExpr&>(expr);
-      if (call.base) collect_all_refs(*call.base, out);
-      for (const ExprPtr& a : call.args) collect_all_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewObject: {
-      const auto& alloc = static_cast<const NewObjectExpr&>(expr);
-      for (const ExprPtr& a : alloc.args) collect_all_refs(*a, out);
-      return;
-    }
-    case NodeKind::NewArray:
-      collect_all_refs(*static_cast<const NewArrayExpr&>(expr).length, out);
-      return;
-    case NodeKind::RectdomainLit: {
-      const auto& dom = static_cast<const RectdomainLit&>(expr);
-      for (const RectdomainLit::Dim& d : dom.dims) {
-        collect_all_refs(*d.lo, out);
-        collect_all_refs(*d.hi, out);
-      }
-      return;
-    }
-    case NodeKind::Conditional: {
-      const auto& cond = static_cast<const ConditionalExpr&>(expr);
-      collect_all_refs(*cond.cond, out);
-      collect_all_refs(*cond.then_value, out);
-      collect_all_refs(*cond.else_value, out);
-      return;
-    }
-    default:
-      return;  // literals
-  }
-}
-
-void collect_all_refs(const Stmt& stmt, std::set<std::string>& out) {
-  switch (stmt.kind) {
-    case NodeKind::VarDeclStmt: {
-      const auto& decl = static_cast<const VarDeclStmt&>(stmt);
-      if (decl.init) collect_all_refs(*decl.init, out);
-      return;
-    }
-    case NodeKind::ExprStmt:
-      collect_all_refs(*static_cast<const ExprStmt&>(stmt).expr, out);
-      return;
-    case NodeKind::Block:
-      for (const StmtPtr& s : static_cast<const BlockStmt&>(stmt).statements)
-        collect_all_refs(*s, out);
-      return;
-    case NodeKind::IfStmt: {
-      const auto& if_stmt = static_cast<const IfStmt&>(stmt);
-      collect_all_refs(*if_stmt.cond, out);
-      collect_all_refs(*if_stmt.then_branch, out);
-      if (if_stmt.else_branch) collect_all_refs(*if_stmt.else_branch, out);
-      return;
-    }
-    case NodeKind::WhileStmt: {
-      const auto& loop = static_cast<const WhileStmt&>(stmt);
-      collect_all_refs(*loop.cond, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForStmt: {
-      const auto& loop = static_cast<const ForStmt&>(stmt);
-      if (loop.init) collect_all_refs(*loop.init, out);
-      if (loop.cond) collect_all_refs(*loop.cond, out);
-      if (loop.step) collect_all_refs(*loop.step, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ForeachStmt: {
-      const auto& loop = static_cast<const ForeachStmt&>(stmt);
-      collect_all_refs(*loop.domain, out);
-      collect_all_refs(*loop.body, out);
-      return;
-    }
-    case NodeKind::ReturnStmt: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value) collect_all_refs(*ret.value, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
 /// True for expressions free of calls/allocations/writes.
 bool scalar_pure(const Expr& expr) {
   switch (expr.kind) {
@@ -298,19 +144,6 @@ bool scalar_pure(const Expr& expr) {
     default:
       return true;  // literals, VarRef
   }
-}
-
-/// Names a packing layout binds on the receiving side.
-std::set<std::string> layout_bound_names(const PackingLayout& layout) {
-  std::set<std::string> out;
-  for (const PackedItem& item : layout.header) out.insert(item.id.base);
-  for (const PackGroup& group : layout.groups) {
-    std::string base = group.collection;
-    std::size_t dot = base.find('.');
-    if (dot != std::string::npos) base = base.substr(0, dot);
-    out.insert(base);
-  }
-  return out;
 }
 
 void write_string(dc::Buffer& out, const std::string& s) {
@@ -359,6 +192,49 @@ std::optional<Value> lookup_path(Env& env, const ClassRegistry& registry,
   return current;
 }
 
+/// Resolves section symbols for one packet against `env`: the packet
+/// variable, len() of arrays, integral bindings and dotted field paths.
+SymbolResolver packet_resolver(const PipelineModel& model, Env& env,
+                               std::int64_t packet) {
+  return [&model, &env, packet](
+             const std::string& sym) -> std::optional<std::int64_t> {
+    if (sym == model.loop_var) return packet;
+    if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
+      std::string path = sym.substr(4, sym.size() - 5);
+      std::optional<Value> v = lookup_path(env, model.registry, path);
+      if (!v) return std::nullopt;
+      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
+        if (!*arr) return std::nullopt;
+        return (*arr)->base_index +
+               static_cast<std::int64_t>((*arr)->elems.size());
+      }
+      return std::nullopt;
+    }
+    if (env.has(sym)) {
+      const Value& v = env.get(sym);
+      if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
+      return std::nullopt;
+    }
+    // Dotted symbols are field paths (e.g. "zbuf.w").
+    if (sym.find('.') != std::string::npos) {
+      std::optional<Value> v = lookup_path(env, model.registry, sym);
+      if (v) {
+        if (const auto* i = std::get_if<std::int64_t>(&*v)) return *i;
+      }
+      return std::nullopt;
+    }
+    return std::nullopt;
+  };
+}
+
+/// Round-robin ownership of packets among a stage's transparent copies.
+/// The source emits in this order, and each copy's share of a partitioned
+/// setup follows it.
+bool owns_packet(std::int64_t packet, std::int64_t first, int copy_index,
+                 int copy_count) {
+  return (packet - first) % copy_count == copy_index;
+}
+
 }  // namespace
 
 std::vector<double> PipelineRunResult::mean_stage_ops() const {
@@ -382,6 +258,37 @@ void PipelineRunResult::adopt_trace(support::PipelineTrace trace) {
   const std::int64_t source_packets = packets;
   static_cast<support::PipelineTrace&>(*this) = std::move(trace);
   packets = source_packets;
+}
+
+std::optional<std::vector<RectDomainVal>> source_fill_ranges(
+    const PipelineModel& model, const SetupFill& fill, Interpreter& interp,
+    Env& env, int copy_index, int copy_count) {
+  const Value domain = interp.eval(*model.loop->domain, env);
+  const auto* packets = std::get_if<RectDomainVal>(&domain);
+  if (!packets) return std::nullopt;
+  std::vector<RectDomainVal> ranges;
+  for (std::int64_t p = packets->lo; p <= packets->hi; ++p) {
+    if (!owns_packet(p, packets->lo, copy_index, copy_count)) continue;
+    const SymbolResolver resolve = packet_resolver(model, env, p);
+    for (const RectSection& section : fill.sections) {
+      const auto range = eval_section(section, resolve);
+      if (!range) return std::nullopt;
+      if (range->first <= range->second)
+        ranges.push_back(RectDomainVal{range->first, range->second});
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const RectDomainVal& a, const RectDomainVal& b) {
+              return a.lo < b.lo;
+            });
+  std::vector<RectDomainVal> merged;
+  for (const RectDomainVal& range : ranges) {
+    if (!merged.empty() && range.lo <= merged.back().hi + 1)
+      merged.back().hi = std::max(merged.back().hi, range.hi);
+    else
+      merged.push_back(range);
+  }
+  return merged;
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +346,6 @@ class StageFilter : public dc::Filter {
   void emit_packet(dc::FilterContext& ctx, Env& env,
                    const std::vector<PackedView>* views = nullptr);
   void handle_replica_buffer(dc::Buffer& in, dc::FilterContext& ctx);
-  SymbolResolver make_resolver(Env& env, std::int64_t packet);
 
   const PipelineModel& model_;
   const StagePlan& plan_;
@@ -474,10 +380,27 @@ class StageFilter : public dc::Filter {
 };
 
 void StageFilter::init(dc::FilterContext& ctx) {
-  (void)ctx;
   if (is_source()) {
-    // Pre-loop setup: input data materialization on the data host.
-    interp_.exec_stmts(model_.before, env_);
+    // Pre-loop setup: input data materialization on the data host. A
+    // partitioned fill synthesizes only what this copy's packets read;
+    // the statements between fills run as one block, as without any.
+    const std::vector<const Stmt*>& before = model_.before;
+    auto next = before.begin();
+    for (auto at = before.begin(); at != before.end(); ++at) {
+      const auto fill =
+          std::find_if(plan_.setup_fills.begin(), plan_.setup_fills.end(),
+                       [at](const SetupFill& f) { return f.loop == *at; });
+      if (fill == plan_.setup_fills.end()) continue;
+      interp_.exec_stmts({next, at}, env_);
+      next = at + 1;
+      const auto share = source_fill_ranges(
+          model_, *fill, interp_, env_, ctx.copy_index(), ctx.copy_count());
+      if (share)
+        interp_.exec_foreach(*fill->loop, env_, *share);
+      else
+        interp_.exec_stmt(**at, env_);
+    }
+    interp_.exec_stmts({next, before.end()}, env_);
     const Value dom = interp_.eval(*model_.loop->domain, env_);
     if (const auto* d = std::get_if<RectDomainVal>(&dom)) {
       packet_domain_ = *d;
@@ -512,39 +435,6 @@ void StageFilter::init(dc::FilterContext& ctx) {
   interp_.reset_ops();
 }
 
-SymbolResolver StageFilter::make_resolver(Env& env, std::int64_t packet) {
-  return [this, &env, packet](
-             const std::string& sym) -> std::optional<std::int64_t> {
-    if (sym == model_.loop_var) return packet;
-    if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
-      std::string path = sym.substr(4, sym.size() - 5);
-      std::optional<Value> v =
-          lookup_path(env, model_.registry, path);
-      if (!v) return std::nullopt;
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
-        if (!*arr) return std::nullopt;
-        return (*arr)->base_index +
-               static_cast<std::int64_t>((*arr)->elems.size());
-      }
-      return std::nullopt;
-    }
-    if (env.has(sym)) {
-      const Value& v = env.get(sym);
-      if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-      return std::nullopt;
-    }
-    // Dotted symbols are field paths (e.g. "zbuf.w").
-    if (sym.find('.') != std::string::npos) {
-      std::optional<Value> v = lookup_path(env, model_.registry, sym);
-      if (v) {
-        if (const auto* i = std::get_if<std::int64_t>(&*v)) return *i;
-      }
-      return std::nullopt;
-    }
-    return std::nullopt;
-  };
-}
-
 void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
                               const std::vector<PackedView>* views) {
   // Recycled storage sized by the largest packet this stage has produced:
@@ -561,7 +451,8 @@ void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
     const PackingLayout& layout = codec_.layout();
     codec_.pack_header(env, out);
     out.write<std::uint32_t>(static_cast<std::uint32_t>(layout.groups.size()));
-    const SymbolResolver resolve = make_resolver(env, current_packet_);
+    const SymbolResolver resolve =
+        packet_resolver(model_, env, current_packet_);
     for (std::size_t og = 0; og < layout.groups.size(); ++og) {
       const int route = route_of_out_[og];
       if (route < 0) {
@@ -578,7 +469,7 @@ void StageFilter::emit_packet(dc::FilterContext& ctx, Env& env,
       routed_bytes += out.size() - before;
     }
   } else {
-    codec_.pack(env, make_resolver(env, current_packet_), out);
+    codec_.pack(env, packet_resolver(model_, env, current_packet_), out);
   }
   const double pack_ops =
       pack_cost_.ops_per_buffer +
@@ -627,7 +518,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
     const std::int64_t lo = packet_domain_.lo;
     const std::int64_t hi = packet_domain_.hi;
     for (std::int64_t p = lo; p <= hi; ++p) {
-      if ((p - lo) % ctx.copy_count() != ctx.copy_index()) continue;
+      if (!owns_packet(p, lo, ctx.copy_index(), ctx.copy_count())) continue;
       current_packet_ = p;
       env_.push();
       env_.declare(model_.loop_var, p);
@@ -928,6 +819,7 @@ PipelineCompiler::PipelineCompiler(
   for (int s = 1; s < m; ++s) {
     plans_[static_cast<std::size_t>(s)].preamble = preamble;
   }
+  if (m > 1) plans_.front().setup_fills = classify_source_setup(model_).fills;
 
   // Materialization: loop-body declarations whose storage a stage writes
   // but neither declares nor receives (their contents are dead-in, so
@@ -942,15 +834,12 @@ PipelineCompiler::PipelineCompiler(
       if (stmt->kind == NodeKind::VarDeclStmt)
         declared.insert(static_cast<const VarDeclStmt*>(stmt)->name);
     }
-    std::set<std::string> received = layout_bound_names(
-        plans_[static_cast<std::size_t>(s - 1)].output_layout);
     for (const AtomicFilter& filter : model_.filters) {
       for (const Stmt* stmt : filter.stmts) {
         if (stmt->kind != NodeKind::VarDeclStmt) continue;
         const auto* decl = static_cast<const VarDeclStmt*>(stmt);
         // Received names still qualify: the unpacked slice may be smaller
         // than the declared allocation this stage writes into.
-        (void)received;
         if (!written.count(decl->name) || declared.count(decl->name))
           continue;
         if (std::find(plan.stmts.begin(), plan.stmts.end(), stmt) !=
@@ -976,10 +865,10 @@ PipelineCompiler::PipelineCompiler(
         plans_[static_cast<std::size_t>(s - 1)].output_layout;
     const PackingLayout& out_layout = plan.output_layout;
     std::set<std::string> touched;
-    for (const Stmt* stmt : plan.stmts) collect_all_refs(*stmt, touched);
+    for (const Stmt* stmt : plan.stmts) collect_var_refs(*stmt, touched);
     for (const VarDeclStmt* decl : plan.materialize) {
       touched.insert(decl->name);
-      if (decl->init) collect_all_refs(*decl->init, touched);
+      if (decl->init) collect_var_refs(*decl->init, touched);
     }
     std::set<std::size_t> routed_inputs;  // each input group feeds one route
     for (std::size_t og = 0; og < out_layout.groups.size(); ++og) {

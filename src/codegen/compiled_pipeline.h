@@ -4,7 +4,9 @@
 // pipeline stage:
 //   * stage 0 (data): runs the pre-loop setup once, then iterates its
 //     round-robin share of packets, executes its atomic filters, packs the
-//     boundary's ReqComm per the §5 layout, and emits;
+//     boundary's ReqComm per the §5 layout, and emits. A dataset fill the
+//     compiler partitions (DESIGN.md §6.13) synthesizes only the elements
+//     that copy's own packets read;
 //   * middle stages: unpack -> execute -> pack -> emit (or pure relay when
 //     no atomic filter is placed on the stage);
 //   * last stage (view): unpack -> execute; at end of stream it merges the
@@ -21,6 +23,7 @@
 #include <mutex>
 
 #include "analysis/pipeline_model.h"
+#include "analysis/stage_class.h"
 #include "codegen/packing.h"
 #include "cost/environment.h"
 #include "datacutter/runner.h"
@@ -64,7 +67,22 @@ struct StagePlan {
   };
   std::vector<PassthroughRoute> passthrough;
   bool relay = false;                  // no filters: forward buffers
+  /// Source stage of a multi-stage pipeline only: the pre-loop fills each
+  /// copy runs over just its own packets' share (classify_source_setup).
+  /// The sink's bindings are the run's finals, so a one-stage pipeline
+  /// keeps its whole setup.
+  std::vector<SetupFill> setup_fills;
 };
+
+/// The element ranges of `fill` that source copy `copy_index` of
+/// `copy_count` synthesizes: the union of the fill's sections over the
+/// packets the copy owns (round-robin, as the source emits them), sorted
+/// and merged. The packet domain and the section bounds are evaluated in
+/// `env`, which holds the bindings at the fill's position. nullopt when a
+/// bound does not resolve; the copy then runs the whole fill.
+std::optional<std::vector<RectDomainVal>> source_fill_ranges(
+    const PipelineModel& model, const SetupFill& fill, Interpreter& interp,
+    Env& env, int copy_index, int copy_count);
 
 /// One compiled run: the runtime's trace of it (faults, metrics, pool,
 /// cuts, respawns, disposition; see support/metrics.h) plus the sink's

@@ -1499,6 +1499,19 @@ struct ForeachNode final : SNode {
     }
     return Flow::Normal;
   }
+  /// The iterations whose index lies in `ranges` (Interpreter::exec_foreach).
+  void run_ranges(Ctx& c, const std::vector<RectDomainVal>& ranges) const {
+    const Value dom = domain->v(c);
+    const auto* range = std::get_if<RectDomainVal>(&dom);
+    if (!range)
+      throw InterpError(loc, "foreach over index ranges needs a rectdomain");
+    for (const RectDomainVal& r : ranges) {
+      const Flow flow =
+          count_loop(c, std::max(r.lo, range->lo), std::min(r.hi, range->hi),
+                     var, *body, kBranchOp + kMemOp);
+      if (flow == Flow::Return) return;
+    }
+  }
   X domain;
   int var;
   S body;
@@ -2006,6 +2019,15 @@ void Interpreter::exec_stmt(const Stmt& stmt, Env& env) {
 
 Value Interpreter::eval(const Expr& expr, Env& env) {
   return exec(*lower(expr, env), env);
+}
+
+void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
+                               const std::vector<RectDomainVal>& ranges) {
+  Lowerer lowerer(*m_, &env, nullptr);
+  const S lowered = lowerer.stmt(loop);
+  Frame frame(*m_, lowerer.frame_size());
+  Ctx c{*m_, frame.data(), &env, &kNoSelf};
+  static_cast<const ForeachNode&>(*lowered).run_ranges(c, ranges);
 }
 
 Value Interpreter::call_method(const std::string& class_name,

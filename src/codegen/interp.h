@@ -113,6 +113,15 @@ class Interpreter {
   void exec_stmts(const std::vector<const Stmt*>& stmts, Env& env);
   void exec_stmt(const Stmt& stmt, Env& env);
   Value eval(const Expr& expr, Env& env);
+  /// Runs the iterations of a rectdomain `foreach` whose index lies in
+  /// `ranges`, range by range in the order given, each clipped to the
+  /// loop's domain; empty or inverted ranges run nothing. The loop is
+  /// lowered once into one frame and charges a whole foreach's
+  /// per-iteration ops, so ranges that cover the domain once charge
+  /// exactly the whole loop's ops. For loops whose iterations are
+  /// independent (the partitioned source setup, DESIGN.md §6.13).
+  void exec_foreach(const ForeachStmt& loop, Env& env,
+                    const std::vector<RectDomainVal>& ranges);
 
   /// Calls Class::method with positional args; returns the return value.
   Value call_method(const std::string& class_name, const std::string& method,

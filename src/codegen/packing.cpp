@@ -474,10 +474,6 @@ Value PacketCodec::read_path(Env& env, const ValueId& id,
   return current;
 }
 
-namespace {
-
-/// Evaluates a section (rank 1) with the resolver; nullopt when symbols are
-/// unresolvable.
 std::optional<std::pair<std::int64_t, std::int64_t>> eval_section(
     const RectSection& section, const SymbolResolver& resolve) {
   if (section.rank() != 1) return std::nullopt;
@@ -496,6 +492,8 @@ std::optional<std::pair<std::int64_t, std::int64_t>> eval_section(
   if (!lo || !hi) return std::nullopt;
   return std::make_pair(*lo, *hi);
 }
+
+namespace {
 
 /// Parses "a.b.c" into base + field steps.
 void parse_path(const std::string& path, std::string& base,

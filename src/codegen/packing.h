@@ -74,6 +74,11 @@ PackingLayout plan_packing(const ValueSet& req_comm,
 using SymbolResolver =
     std::function<std::optional<std::int64_t>(const std::string&)>;
 
+/// Evaluates a rank-1 section's bounds with the resolver; nullopt when the
+/// section has another rank or a symbol does not resolve.
+std::optional<std::pair<std::int64_t, std::int64_t>> eval_section(
+    const RectSection& section, const SymbolResolver& resolve);
+
 /// One resolved leaf of a compiled group plan: the field-index chain below
 /// the element (no string lookups in the steady state), the primitive kind,
 /// and its fixed wire width. `nested[i]` / `nested_types[i]` describe the

@@ -10,7 +10,8 @@
 //   --bind NAME=VALUE    size binding for the cost model (repeatable)
 //   --packets N          packet count for the total-time objective
 //   --emit               print the generated DataCutter filter source
-//   --analysis           print Gen/Cons/ReqComm per atomic filter
+//   --analysis           print Gen/Cons/ReqComm per atomic filter and
+//                        the source-setup verdict
 //   --run                execute the decomposed pipeline and print finals
 //   --trace=<file>       run and dump the observability trace (per-filter
 //                        busy/stall/latency, per-link occupancy) as JSON;
@@ -438,6 +439,7 @@ int main(int argc, char** argv) {
     std::printf("  input %s (%.4g bytes)\n",
                 result.model.input_req.to_string().c_str(),
                 result.decomp_input.input_bytes);
+    std::printf("%s", classify_source_setup(result.model).to_string().c_str());
   }
 
   Placement placement =

@@ -519,6 +519,129 @@ TEST(Conformance, VmscopeBackends) {
                      {"total", "filled"});
 }
 
+/// A dataset whose fills leave no element at its default value: a copy
+/// that failed to synthesize an element its packets read would add 0.0
+/// for `data` or dereference a null `items` entry, so the finals only
+/// match the oracle when every packet's section was synthesized.
+std::string partitioned_setup_source() {
+  return R"dialect(
+interface Reducinterface { }
+
+class Acc implements Reducinterface {
+  double total;
+  Acc() { total = 0.0; }
+  void add(double v) { total = total + v; }
+  void merge(Acc other) { total = total + other.total; }
+}
+
+class Item {
+  double w;
+  Item(double ww) { w = ww; }
+}
+
+class Setup {
+  double weight(int i) { return 1.0 + (i % 7) * 0.125; }
+
+  void main() {
+    int n = runtime_define_num_items;
+    int npackets = runtime_define_num_packets;
+    int psize = n / npackets;
+    double[] data = new double[n];
+    foreach (i in [0 : n - 1]) {
+      data[i] = i + 0.25;
+    }
+    Item[] items = new Item[n];
+    foreach (i in [0 : n - 1]) {
+      Item item = new Item(weight(i));
+      items[i] = item;
+    }
+    Acc acc = new Acc();
+    PipelinedLoop (p in [0 : npackets - 1]) {
+      int base = p * psize;
+      double[] vals = new double[psize];
+      foreach (i in [base : base + psize - 1]) {
+        Item item = items[i];
+        vals[i - base] = data[i] * item.w;
+      }
+      foreach (j in [0 : psize - 1]) {
+        acc.add(vals[j]);
+      }
+    }
+    double result = acc.total;
+  }
+}
+)dialect";
+}
+
+TEST(Conformance, PartitionedSetupBackends) {
+  apps::AppConfig config;
+  config.name = "partitioned-setup";
+  config.source = partitioned_setup_source();
+  const std::int64_t n = 240, npackets = 12, psize = n / npackets;
+  config.runtime_constants = {{"runtime_define_num_items", n},
+                              {"runtime_define_num_packets", npackets}};
+  config.size_bindings = {{"n", n},         {"npackets", npackets},
+                          {"psize", psize}, {"base", 0},
+                          {"len(data)", n}, {"len(items)", n},
+                          {"len(vals)", psize}};
+  config.n_packets = npackets;
+  const Oracle oracle = run_sequential(config, "Setup");
+  ASSERT_FALSE(oracle.values.empty());
+
+  for (int copies : {1, 3}) {
+    CompileResult result = compile_app(config, copies);
+    ASSERT_TRUE(result.ok);
+    const EnvironmentSpec env = EnvironmentSpec::paper_cluster(copies);
+    const double tol = copies == 1 ? 0.0 : 1e-9;
+    for (dc::TransportBackend backend :
+         {dc::TransportBackend::kThread, dc::TransportBackend::kProc}) {
+      if (!backend_enabled(backend)) continue;
+      for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+        dc::RunnerConfig transport;
+        transport.backend = backend;
+        transport.batch_size = batch;
+        PipelineCompiler compiler = result.make_runner(
+            result.decomposition.placement, env, {}, transport);
+        ASSERT_EQ(compiler.plans().front().setup_fills.size(), 2u);
+        const PipelineRunResult run = compiler.run();
+        const std::string what = std::string("backend=") +
+                                 dc::backend_name(backend) +
+                                 " copies=" + std::to_string(copies) +
+                                 " batch=" + std::to_string(batch);
+        expect_conformant(oracle, run, tol, {"result"}, {}, what);
+        EXPECT_EQ(run.stage_replicas.front(), copies) << what;
+      }
+    }
+  }
+
+  // Copy c of 3 synthesizes exactly the union of the sections of the
+  // packets it emits, p = c, c + 3, ...: [p*psize : p*psize + psize - 1].
+  CompileResult result = compile_app(config, 3);
+  ASSERT_TRUE(result.ok);
+  const SourceSetupVerdict verdict = classify_source_setup(result.model);
+  ASSERT_EQ(verdict.fills.size(), 2u) << verdict.to_string();
+  for (const SetupFill& fill : verdict.fills) {
+    const auto at = std::find(result.model.before.begin(),
+                              result.model.before.end(), fill.loop);
+    ASSERT_NE(at, result.model.before.end());
+    Interpreter interp(result.model.registry, config.runtime_constants);
+    Env env;
+    interp.exec_stmts({result.model.before.begin(), at}, env);
+    for (int c = 0; c < 3; ++c) {
+      std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+      for (std::int64_t p = c; p < npackets; p += 3)
+        expected.emplace_back(p * psize, p * psize + psize - 1);
+      const auto ranges =
+          source_fill_ranges(result.model, fill, interp, env, c, 3);
+      ASSERT_TRUE(ranges.has_value()) << fill.array;
+      std::vector<std::pair<std::int64_t, std::int64_t>> got;
+      for (const RectDomainVal& range : *ranges)
+        got.emplace_back(range.lo, range.hi);
+      EXPECT_EQ(got, expected) << fill.array << " copy " << c;
+    }
+  }
+}
+
 TEST(Conformance, TinyKillResume) {
   run_kill_resume_matrix(apps::tiny_config(256, 8), "Tiny", {"result"});
 }

@@ -3,6 +3,7 @@
 // that spawn the real cgpc binary (CGPC_BINARY, injected by CMake).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -173,17 +174,21 @@ CliResult run_cgpc(const std::string& args) {
 
 class CgpcCli : public ::testing::Test {
  protected:
-  static constexpr const char* kSourcePath = "cgp_driver_cli_tiny.cgp";
+  // Per process: ctest runs each test of the suite in its own process,
+  // in parallel, and every process removes its file at teardown.
+  static inline const std::string kSourcePath =
+      "cgp_driver_cli_tiny_" + std::to_string(::getpid()) + ".cgp";
 
   static void SetUpTestSuite() {
     std::ofstream out(kSourcePath);
     out << apps::tiny_config(64, 8).source;
   }
-  static void TearDownTestSuite() { std::remove(kSourcePath); }
+  static void TearDownTestSuite() { std::remove(kSourcePath.c_str()); }
 
-  /// --define/--bind arguments matching the tiny app's configuration.
-  static std::string binding_args() {
-    const apps::AppConfig config = apps::tiny_config(64, 8);
+  /// --define/--bind arguments matching an app's configuration (by
+  /// default the tiny app's).
+  static std::string binding_args(
+      const apps::AppConfig& config = apps::tiny_config(64, 8)) {
     std::string args;
     // Quoted: binding names like "len(values)" are shell metacharacters.
     for (const auto& [name, value] : config.runtime_constants)
@@ -278,6 +283,33 @@ TEST_F(CgpcCli, ProcBackendRunsPipelineEndToEnd) {
   EXPECT_NE(r.output.find("link 0:"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("link 0: 0 packet bytes"), std::string::npos)
       << r.output;
+}
+
+TEST_F(CgpcCli, AnalysisPrintsSourceSetupVerdict) {
+  const CliResult tiny =
+      run_cgpc(std::string(kSourcePath) + binding_args() + " --analysis");
+  EXPECT_EQ(tiny.status, 0) << tiny.output;
+  const std::size_t input_at = tiny.output.find("  input ");
+  const std::size_t verdict_at = tiny.output.find(
+      "\nsource setup: partitioned fill of data over "
+      "[p*psize:p*psize + psize - 1]\n");
+  EXPECT_NE(input_at, std::string::npos) << tiny.output;
+  EXPECT_NE(verdict_at, std::string::npos) << tiny.output;
+  EXPECT_LT(input_at, verdict_at) << tiny.output;
+
+  const apps::AppConfig knn = apps::knn_config(3);
+  const std::string knn_path =
+      "cgp_driver_cli_knn_" + std::to_string(::getpid()) + ".cgp";
+  std::ofstream(knn_path) << knn.source;
+  const CliResult whole =
+      run_cgpc(knn_path + binding_args(knn) + " --analysis");
+  std::remove(knn_path.c_str());
+  EXPECT_EQ(whole.status, 0) << whole.output;
+  EXPECT_NE(whole.output.find(
+                "\nsource setup: whole (pts is filled by a for loop carrying "
+                "seed)\n"),
+            std::string::npos)
+      << whole.output;
 }
 
 }  // namespace

@@ -516,6 +516,65 @@ TEST(Interp, LoweredCodeRunsRepeatedlyAgainstItsEnv) {
   EXPECT_THROW(interp.exec(*code, other), std::logic_error);
 }
 
+TEST(Interp, ExecForeachRunsOnlyTheGivenRanges) {
+  Fixture f = prepare(R"(
+    class A {
+      void main() {
+        int n = 10;
+        double[] data = new double[n];
+        foreach (i in [0 : n - 1]) {
+          data[i] = i + 0.25;
+        }
+      }
+    }
+  )");
+  const MethodDecl* main = f.registry.find("A")->find_method("main");
+  const auto& body = main->body->statements;
+  const auto& fill = static_cast<const ForeachStmt&>(*body[2]);
+  Interpreter interp(f.registry);
+  // Runs the fill over `ranges` (or whole) on a fresh array; returns the
+  // array and the ops the fill charged.
+  auto run = [&](const std::vector<RectDomainVal>* ranges) {
+    Env env;
+    interp.exec_stmts({body[0].get(), body[1].get()}, env);
+    interp.reset_ops();
+    if (ranges)
+      interp.exec_foreach(fill, env, *ranges);
+    else
+      interp.exec_stmt(fill, env);
+    const auto& data = std::get<std::shared_ptr<ArrayVal>>(env.get("data"));
+    std::vector<double> values;
+    for (const Value& v : data->elems) values.push_back(as_double(v));
+    return std::make_pair(values, interp.ops());
+  };
+  const auto whole = run(nullptr);
+
+  // Ranges that cover the domain once charge exactly a whole foreach.
+  const std::vector<RectDomainVal> cover = {{0, 3}, {4, 9}};
+  const auto covered = run(&cover);
+  EXPECT_EQ(covered.first, whole.first);
+  EXPECT_EQ(covered.second, whole.second);
+
+  // Ranges are clipped to the domain; everything else keeps its default.
+  const std::vector<RectDomainVal> clipped = {{-5, 1}, {8, 20}};
+  const auto partial = run(&clipped);
+  for (std::size_t i = 0; i < partial.first.size(); ++i) {
+    const bool ran = i <= 1 || i >= 8;
+    EXPECT_EQ(partial.first[i], ran ? i + 0.25 : 0.0) << i;
+  }
+
+  // Empty and inverted ranges run no iteration: only the domain is
+  // evaluated.
+  const std::vector<RectDomainVal> none;
+  const std::vector<RectDomainVal> inverted = {{5, 4}, {20, 30}};
+  const auto nothing = run(&none);
+  const auto backwards = run(&inverted);
+  EXPECT_EQ(nothing.first, std::vector<double>(10, 0.0));
+  EXPECT_EQ(backwards.first, std::vector<double>(10, 0.0));
+  EXPECT_EQ(backwards.second, nothing.second);
+  EXPECT_LT(nothing.second, covered.second);
+}
+
 TEST(Interp, ShortCircuitEvaluation) {
   Fixture f = prepare(R"(
     class A {
