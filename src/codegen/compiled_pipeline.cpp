@@ -1,7 +1,9 @@
 #include "codegen/compiled_pipeline.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <thread>
 
 #include "codegen/serialize.h"
 
@@ -382,8 +384,16 @@ class StageFilter : public dc::Filter {
 void StageFilter::init(dc::FilterContext& ctx) {
   if (is_source()) {
     // Pre-loop setup: input data materialization on the data host. A
-    // partitioned fill synthesizes only what this copy's packets read;
-    // the statements between fills run as one block, as without any.
+    // partitioned fill synthesizes only what this copy's packets read (all
+    // of its domain when a bound does not resolve), cut into chunks that
+    // share the host's CPUs with the other source copies; the statements
+    // between fills run as one block, as without any.
+    const std::vector<RectDomainVal> whole = {
+        {std::numeric_limits<std::int64_t>::min(),
+         std::numeric_limits<std::int64_t>::max()}};
+    const int chunks = std::max(
+        1, static_cast<int>(std::thread::hardware_concurrency()) /
+               ctx.copy_count());
     const std::vector<const Stmt*>& before = model_.before;
     auto next = before.begin();
     for (auto at = before.begin(); at != before.end(); ++at) {
@@ -395,10 +405,9 @@ void StageFilter::init(dc::FilterContext& ctx) {
       next = at + 1;
       const auto share = source_fill_ranges(
           model_, *fill, interp_, env_, ctx.copy_index(), ctx.copy_count());
-      if (share)
-        interp_.exec_foreach(*fill->loop, env_, *share);
-      else
-        interp_.exec_stmt(**at, env_);
+      interp_.exec_foreach(
+          *fill->loop, env_, share ? *share : whole, chunks,
+          static_cast<std::size_t>(ctx.copy_index() * (chunks - 1)));
     }
     interp_.exec_stmts({next, before.end()}, env_);
     const Value dom = interp_.eval(*model_.loop->domain, env_);

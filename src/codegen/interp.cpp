@@ -1,9 +1,11 @@
 #include "codegen/interp.h"
 
 #include <cmath>
+#include <future>
 #include <sstream>
 
 #include "support/str.h"
+#include "support/worker_pool.h"
 
 namespace cgp {
 
@@ -1499,24 +1501,45 @@ struct ForeachNode final : SNode {
     }
     return Flow::Normal;
   }
-  /// The iterations whose index lies in `ranges` (Interpreter::exec_foreach).
-  void run_ranges(Ctx& c, const std::vector<RectDomainVal>& ranges) const {
-    const Value dom = domain->v(c);
-    const auto* range = std::get_if<RectDomainVal>(&dom);
-    if (!range)
-      throw InterpError(loc, "foreach over index ranges needs a rectdomain");
-    for (const RectDomainVal& r : ranges) {
-      const Flow flow =
-          count_loop(c, std::max(r.lo, range->lo), std::min(r.hi, range->hi),
-                     var, *body, kBranchOp + kMemOp);
-      if (flow == Flow::Return) return;
-    }
-  }
   X domain;
   int var;
   S body;
   SourceLocation loc;
 };
+
+/// One chunk of Interpreter::exec_foreach: `loop`'s iterations over
+/// `ranges`, already clipped to its domain, range by range.
+void run_chunk(Ctx& c, const ForeachNode& loop, const std::vector<RectDomainVal>& ranges) {
+  for (const RectDomainVal& r : ranges)
+    if (count_loop(c, r.lo, r.hi, loop.var, *loop.body, kBranchOp + kMemOp) == Flow::Return)
+      return;
+}
+
+/// Cuts the `total` iterations of `ranges` (non-empty, in the order given)
+/// into `n` contiguous chunks; the first total % n chunks take one more.
+std::vector<std::vector<RectDomainVal>> cut_chunks(const std::vector<RectDomainVal>& ranges,
+                                                   std::uint64_t total, std::size_t n) {
+  std::vector<std::vector<RectDomainVal>> chunks(n);
+  std::size_t range = 0;
+  std::int64_t next = ranges.front().lo;  // first iteration not yet cut
+  for (std::size_t k = 0; k < n; ++k) {
+    std::uint64_t want = total / n + (k < total % n ? 1 : 0);
+    while (want > 0) {
+      const std::int64_t hi = ranges[range].hi;
+      const std::uint64_t left = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(next) + 1;
+      const std::uint64_t take = std::min(want, left);
+      const std::int64_t last = next + static_cast<std::int64_t>(take - 1);
+      chunks[k].push_back(RectDomainVal{next, last});
+      want -= take;
+      if (last < hi) {
+        next = last + 1;
+      } else if (++range < ranges.size()) {
+        next = ranges[range].lo;
+      }
+    }
+  }
+  return chunks;
+}
 
 /// Reference semantics of a PipelinedLoop: the packet loop, sequentially.
 struct PipelinedNode final : SNode {
@@ -2022,12 +2045,93 @@ Value Interpreter::eval(const Expr& expr, Env& env) {
 }
 
 void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
-                               const std::vector<RectDomainVal>& ranges) {
-  Lowerer lowerer(*m_, &env, nullptr);
-  const S lowered = lowerer.stmt(loop);
-  Frame frame(*m_, lowerer.frame_size());
-  Ctx c{*m_, frame.data(), &env, &kNoSelf};
-  static_cast<const ForeachNode&>(*lowered).run_ranges(c, ranges);
+                               const std::vector<RectDomainVal>& ranges, int chunks,
+                               std::size_t first_worker) {
+  // Each chunk runs its own lowered copy of the loop on its own Machine
+  // (chunk 0 on this interpreter's). All copies are lowered here, before
+  // any chunk starts: lowering adds Env slots, and lowered nodes cache
+  // call targets and class info.
+  struct Chunk {
+    Chunk() = default;
+    Chunk(const Chunk&) = delete;
+    Chunk& operator=(const Chunk&) = delete;
+    ~Chunk() {
+      if (done.valid()) done.wait();  // the job still uses this chunk
+    }
+    void lower(Machine& m, const ForeachStmt& loop, Env& env) {
+      machine = &m;
+      Lowerer lowerer(m, &env, nullptr);
+      code = lowerer.stmt(loop);
+      frame_size = lowerer.frame_size();
+    }
+    // Keeps the chunk's error instead of throwing it: an exception sent
+    // through the future could be released last on the worker, which
+    // ThreadSanitizer cannot order against the caller's use of it.
+    void run(Env& env) {
+      try {
+        Frame frame(*machine, frame_size);
+        Ctx c{*machine, frame.data(), &env, &kNoSelf};
+        run_chunk(c, static_cast<const ForeachNode&>(*code), ranges);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    std::unique_ptr<Machine> owned;  // every chunk's but chunk 0's
+    Machine* machine = nullptr;
+    S code;
+    std::size_t frame_size = 0;
+    std::vector<RectDomainVal> ranges;
+    std::exception_ptr error;
+    std::future<void> done;
+  };
+  Chunk first;
+  first.lower(*m_, loop, env);
+  const auto& node = static_cast<const ForeachNode&>(*first.code);
+  Value dom;
+  {
+    Frame frame(*m_, first.frame_size);
+    Ctx c{*m_, frame.data(), &env, &kNoSelf};
+    dom = node.domain->v(c);
+  }
+  const auto* domain = std::get_if<RectDomainVal>(&dom);
+  if (!domain) throw InterpError(node.loc, "foreach over index ranges needs a rectdomain");
+
+  std::vector<RectDomainVal> clipped;
+  std::uint64_t iterations = 0;
+  for (const RectDomainVal& r : ranges) {
+    const RectDomainVal piece{std::max(r.lo, domain->lo), std::min(r.hi, domain->hi)};
+    if (piece.lo > piece.hi) continue;
+    clipped.push_back(piece);
+    iterations += static_cast<std::uint64_t>(piece.hi) - static_cast<std::uint64_t>(piece.lo) + 1;
+  }
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(std::max(chunks, 1)), iterations));
+  if (n == 0) return;
+  std::vector<std::vector<RectDomainVal>> shares = cut_chunks(clipped, iterations, n);
+  first.ranges = std::move(shares[0]);
+  std::vector<Chunk> rest(n - 1);
+  for (std::size_t k = 1; k < n; ++k) {
+    Chunk& chunk = rest[k - 1];
+    chunk.owned = std::make_unique<Machine>(m_->registry, m_->constants);
+    chunk.lower(*chunk.owned, loop, env);
+    chunk.ranges = std::move(shares[k]);
+  }
+  support::WorkerPool& pool = support::WorkerPool::instance();
+  for (std::size_t k = 1; k < n; ++k) {
+    Chunk& chunk = rest[k - 1];
+    chunk.done = pool.submit(first_worker + k - 1, [&chunk, &env] { chunk.run(env); });
+  }
+  first.run(env);
+  // A sequential pass stops at the first failing iteration, which lies in
+  // the lowest failing chunk. Every op weight is a multiple of 1/4, so the
+  // sums are exact in any order.
+  std::exception_ptr error = first.error;
+  for (Chunk& chunk : rest) {
+    chunk.done.wait();
+    m_->ops += chunk.machine->ops;
+    if (!error) error = chunk.error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 Value Interpreter::call_method(const std::string& class_name,

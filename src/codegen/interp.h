@@ -114,14 +114,21 @@ class Interpreter {
   void exec_stmt(const Stmt& stmt, Env& env);
   Value eval(const Expr& expr, Env& env);
   /// Runs the iterations of a rectdomain `foreach` whose index lies in
-  /// `ranges`, range by range in the order given, each clipped to the
-  /// loop's domain; empty or inverted ranges run nothing. The loop is
-  /// lowered once into one frame and charges a whole foreach's
+  /// `ranges`: each range is clipped to the loop's domain (empty or
+  /// inverted ones run nothing), and the iterations left, in the order
+  /// given, are cut into min(chunks, iterations) contiguous chunks of
+  /// near-equal length. Chunk 0 runs on the calling thread, chunk k on
+  /// worker `first_worker + k - 1` of support::WorkerPool, each on its
+  /// own Machine and lowered copy of the loop; this call waits for all
+  /// of them, adds their ops to its own and rethrows the error of the
+  /// lowest failing chunk. Iterations charge a whole foreach's
   /// per-iteration ops, so ranges that cover the domain once charge
-  /// exactly the whole loop's ops. For loops whose iterations are
-  /// independent (the partitioned source setup, DESIGN.md §6.13).
+  /// exactly the whole loop's ops, for any chunk count. Only for loops
+  /// whose iterations are independent and touch the Env only to read it
+  /// (the partitioned source setup, DESIGN.md §6.13).
   void exec_foreach(const ForeachStmt& loop, Env& env,
-                    const std::vector<RectDomainVal>& ranges);
+                    const std::vector<RectDomainVal>& ranges, int chunks = 1,
+                    std::size_t first_worker = 0);
 
   /// Calls Class::method with positional args; returns the return value.
   Value call_method(const std::string& class_name, const std::string& method,

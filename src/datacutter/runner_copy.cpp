@@ -109,7 +109,9 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     };
     try {
       filter = world.group->factory();
+      const auto init_start = Clock::now();
       filter->init(ctx);
+      copy_metrics.init_seconds += seconds_since(init_start);
       if (attempt_ckpt && !have_snapshot) {
         // Probe: the initial snapshot doubles as support detection and
         // covers faults before the first interval commit.

@@ -1,6 +1,7 @@
 // Multi-process backends of the pipeline runner (proc: shared-memory
 // rings; tcp: loopback sockets). Topology: one worker process per
-// non-sink stage group, forked BEFORE the supervisor creates any thread;
+// non-sink stage group, forked BEFORE the supervisor creates any thread
+// and after it has joined the setup worker pool's (WorkerPool::quiesce);
 // the sink group and the run-level cut collector stay in the supervisor
 // process, because the sink's finals are in-memory results.
 //
@@ -74,6 +75,7 @@
 #include "datacutter/shm_ring.h"
 #include "datacutter/tcp_channel.h"
 #include "datacutter/transport.h"
+#include "support/worker_pool.h"
 
 namespace cgp::dc {
 
@@ -807,7 +809,10 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
 
     // Fork every worker before this process creates a single thread (fork
     // in a multithreaded supervisor is undefined enough that TSan rejects
-    // it outright). Children never return from worker_main.
+    // it outright). An earlier in-process run may have left the setup
+    // worker pool's threads parked (StageFilter::init), so it is quiesced
+    // first. Children never return from worker_main.
+    support::WorkerPool::instance().quiesce();
     std::vector<int> parent_fds;  // supervisor pipe ends forked so far
     for (std::size_t wi = 0; wi < n_workers; ++wi) {
       int status_pipe[2];

@@ -77,6 +77,7 @@ void FilterMetrics::merge(const FilterMetrics& other) {
   retries += other.retries;
   dropped_packets += other.dropped_packets;
   checkpoints += other.checkpoints;
+  init_seconds += other.init_seconds;
   latency.merge(other.latency);
 }
 
@@ -169,7 +170,8 @@ int PipelineTrace::bottleneck_filter() const {
   int best = -1;
   double best_busy = -1.0;
   for (std::size_t i = 0; i < stage_metrics.size(); ++i) {
-    const double busy = stage_metrics[i].busy_seconds();
+    const FilterMetrics& f = stage_metrics[i];
+    const double busy = std::max(0.0, f.busy_seconds() - f.init_seconds);
     if (busy > best_busy) {
       best_busy = busy;
       best = static_cast<int>(i);
@@ -271,6 +273,7 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
     jf.set("retries", Json(f.retries));
     jf.set("dropped_packets", Json(f.dropped_packets));
     jf.set("checkpoints", Json(f.checkpoints));
+    jf.set("init_seconds", Json(f.init_seconds));
     jf.set("latency", latency_to_json(f.latency));
     filters.push_back(std::move(jf));
   }
@@ -343,7 +346,7 @@ std::string trace_to_json(const PipelineTrace& trace, int indent) {
     heartbeats.push_back(std::move(jh));
   }
   Json root{Json::Object{}};
-  root.set("schema", Json("cgpipe-trace-v8"));
+  root.set("schema", Json("cgpipe-trace-v9"));
   root.set("wall_seconds", Json(trace.wall_seconds));
   root.set("packets", Json(trace.packets));
   root.set("completed", Json(trace.completed));
@@ -404,7 +407,8 @@ PipelineTrace trace_from_json(const std::string& text) {
   if (schema != "cgpipe-trace-v1" && schema != "cgpipe-trace-v2" &&
       schema != "cgpipe-trace-v3" && schema != "cgpipe-trace-v4" &&
       schema != "cgpipe-trace-v5" && schema != "cgpipe-trace-v6" &&
-      schema != "cgpipe-trace-v7" && schema != "cgpipe-trace-v8")
+      schema != "cgpipe-trace-v7" && schema != "cgpipe-trace-v8" &&
+      schema != "cgpipe-trace-v9")
     throw std::runtime_error("trace: unknown schema");
   PipelineTrace trace;
   trace.wall_seconds = root.at("wall_seconds").as_number();
@@ -437,6 +441,9 @@ PipelineTrace trace_from_json(const std::string& text) {
     // v3 checkpoint counter; absent in v1/v2 documents.
     if (jf.contains("checkpoints"))
       f.checkpoints = jf.at("checkpoints").as_int();
+    // v9 setup time; absent in v1-v8 documents.
+    if (jf.contains("init_seconds"))
+      f.init_seconds = jf.at("init_seconds").as_number();
     f.latency = latency_from_json(jf.at("latency"));
     trace.stage_metrics.push_back(std::move(f));
   }

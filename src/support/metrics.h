@@ -64,9 +64,13 @@ struct FilterMetrics {
   /// Per-copy state snapshots committed under checkpointed recovery
   /// (trace v3).
   std::int64_t checkpoints = 0;
+  /// Part of total_seconds spent in Filter::init calls that returned,
+  /// summed over copies and attempts (trace v9): a source's dataset
+  /// setup, not pipeline work.
+  double init_seconds = 0.0;
   LatencySummary latency;
 
-  /// Lifetime minus both stall components (clamped at 0).
+  /// Lifetime minus both stall components (clamped at 0); includes setup.
   double busy_seconds() const;
   void merge(const FilterMetrics& other);
 };
@@ -257,8 +261,9 @@ struct PipelineTrace {
   bool completed = true;
   std::string error;  // first fatal condition; empty on success
 
-  /// Index of the filter with the largest busy time (-1 when empty) — the
-  /// measured bottleneck stage of the paper's analysis.
+  /// Index of the filter with the largest busy time net of setup
+  /// (busy_seconds() - init_seconds; -1 when empty) — the measured
+  /// bottleneck stage of the paper's analysis.
   int bottleneck_filter() const;
   /// Sum of supervisor retries / dropped packets over all stages.
   std::int64_t total_retries() const;
@@ -274,7 +279,7 @@ struct PipelineTrace {
   void merge(const PipelineTrace& other);
 };
 
-/// Serializes to the cgpipe-trace-v8 schema documented in
+/// Serializes to the cgpipe-trace-v9 schema documented in
 /// docs/OBSERVABILITY.md and docs/ROBUSTNESS.md.
 std::string trace_to_json(const PipelineTrace& trace, int indent = 2);
 
@@ -284,7 +289,8 @@ std::string trace_to_json(const PipelineTrace& trace, int indent = 2);
 /// checkpoint part records absent, `parts` defaults to 0), v5
 /// (pool.classes defaults to empty), v6 (per-link transport fields
 /// default to their zero values, transport to ""), v7 (respawn records
-/// and heartbeat telemetry default to empty, degraded to false), and v8.
+/// and heartbeat telemetry default to empty, degraded to false), v8
+/// (init_seconds defaults to 0), and v9.
 /// Throws std::runtime_error on malformed or schema-incompatible input.
 PipelineTrace trace_from_json(const std::string& text);
 

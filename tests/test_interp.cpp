@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/interp.h"
+#include "codegen/serialize.h"
 #include "parser/parser.h"
 #include "sema/sema.h"
 
@@ -573,6 +574,135 @@ TEST(Interp, ExecForeachRunsOnlyTheGivenRanges) {
   EXPECT_EQ(backwards.first, std::vector<double>(10, 0.0));
   EXPECT_EQ(backwards.second, nothing.second);
   EXPECT_LT(nothing.second, covered.second);
+}
+
+// A setup fill like the isosurface apps': about 1000 iterations that each
+// allocate, call a pure method and store their own element. The second
+// foreach is the same fill failing at iterations 300 and 800.
+constexpr std::string_view kChunkedFill = R"(
+  class Cell {
+    double v;
+    int k;
+    Cell(double vv, int kk) { v = vv; k = kk; }
+  }
+  class A {
+    double shade(int i) { return sqrt(i * 1.5) + (i % 7) * 0.125; }
+    void main() {
+      int n = 1000;
+      int[] small = new int[2];
+      Cell[] cells = new Cell[n];
+      foreach (i in [0 : n - 1]) {
+        Cell c = new Cell(shade(i), i % 5);
+        cells[i] = c;
+      }
+      foreach (i in [0 : n - 1]) {
+        if (i == 300 || i == 800) {
+          int z = small[i];
+        }
+        cells[i] = new Cell(shade(i), 0);
+      }
+    }
+  }
+)";
+
+/// What one exec_foreach call over kChunkedFill left behind.
+struct ChunkedRun {
+  std::vector<std::byte> cells;  // write_value bytes of the array
+  double ops = 0.0;              // the fill's ops
+  std::string error;             // what() of the rethrown error
+};
+
+class ChunkedFill {
+ public:
+  ChunkedFill() : f_(prepare(kChunkedFill)), interp_(f_.registry) {}
+
+  /// Runs fill `which` (0: clean, 1: failing) over `ranges` in `chunks`
+  /// chunks, on a fresh `cells` and a reset op counter.
+  ChunkedRun run(int which, const std::vector<RectDomainVal>& ranges,
+                 int chunks, std::size_t first_worker = 0) {
+    const auto& body =
+        f_.registry.find("A")->find_method("main")->body->statements;
+    Env env;
+    interp_.exec_stmts({body[0].get(), body[1].get(), body[2].get()}, env);
+    interp_.reset_ops();
+    ChunkedRun out;
+    try {
+      interp_.exec_foreach(
+          static_cast<const ForeachStmt&>(*body[3 + which]), env, ranges,
+          chunks, first_worker);
+    } catch (const InterpError& e) {
+      out.error = e.what();
+    }
+    out.ops = interp_.ops();
+    dc::Buffer bytes;
+    write_value(bytes, env.get("cells"));
+    out.cells.assign(bytes.data(), bytes.data() + bytes.size());
+    return out;
+  }
+
+ private:
+  Fixture f_;
+  Interpreter interp_;
+};
+
+TEST(Interp, ExecForeachChunksMatchOneChunk) {
+  ChunkedFill fill;
+  const std::vector<std::pair<std::string, std::vector<RectDomainVal>>>
+      cases = {
+      {"whole", {{0, 999}}},
+      {"cover", {{0, 399}, {400, 999}}},
+      {"clipped", {{-5, 100}, {800, 2000}}},
+      {"unsorted", {{600, 650}, {10, 20}, {900, 905}}},
+      {"empty", {}},
+      {"inverted", {{500, 499}, {2000, 3000}}},
+  };
+  for (const auto& [name, ranges] : cases) {
+    const ChunkedRun one = fill.run(0, ranges, 1);
+    for (int chunks : {2, 3, 4, 7}) {
+      const ChunkedRun split =
+          fill.run(0, ranges, chunks, static_cast<std::size_t>(chunks));
+      EXPECT_EQ(split.cells, one.cells) << name << " chunks=" << chunks;
+      EXPECT_EQ(split.ops, one.ops) << name << " chunks=" << chunks;
+    }
+  }
+  // Not vacuous: the fill writes cells and charges ops, and an empty
+  // share still charges the domain's evaluation.
+  const ChunkedRun whole = fill.run(0, {{0, 999}}, 4);
+  const ChunkedRun empty = fill.run(0, {}, 4);
+  EXPECT_NE(whole.cells, empty.cells);
+  EXPECT_LT(empty.ops, whole.ops);
+  EXPECT_GT(empty.ops, 0.0);
+}
+
+TEST(Interp, ExecForeachRunsEachIterationOnceWithMoreChunksThanIterations) {
+  ChunkedFill fill;
+  const std::vector<RectDomainVal> ranges = {{10, 12}, {500, 501}};
+  const ChunkedRun one = fill.run(0, ranges, 1);
+  const ChunkedRun many = fill.run(0, ranges, 16);
+  EXPECT_EQ(many.cells, one.cells);
+  EXPECT_EQ(many.ops, one.ops);  // an iteration run twice would charge twice
+  // Five iterations, each charging the same ops as any other.
+  const ChunkedRun none = fill.run(0, {}, 1);
+  const ChunkedRun single = fill.run(0, {{10, 10}}, 16);
+  EXPECT_GT(single.ops, none.ops);
+  EXPECT_EQ((one.ops - none.ops) / (single.ops - none.ops), 5.0);
+}
+
+TEST(Interp, ExecForeachRethrowsTheLowestFailingIteration) {
+  ChunkedFill fill;
+  const ChunkedRun one = fill.run(1, {{0, 999}}, 1);
+  ASSERT_NE(one.error.find("array index 300 out of range"), std::string::npos)
+      << one.error;
+  for (int chunks : {2, 3, 4, 7}) {
+    // Iterations 300 and 800 lie in different chunks; the lower one's
+    // error is the one a sequential pass raises.
+    const ChunkedRun split = fill.run(1, {{0, 999}}, chunks);
+    EXPECT_EQ(split.error, one.error) << "chunks=" << chunks;
+  }
+  // Without iteration 300 the error is iteration 800's, in any split.
+  const ChunkedRun tail = fill.run(1, {{301, 999}}, 1);
+  EXPECT_NE(tail.error.find("array index 800 out of range"), std::string::npos);
+  EXPECT_EQ(fill.run(1, {{301, 999}}, 4).error, tail.error);
 }
 
 TEST(Interp, ShortCircuitEvaluation) {

@@ -178,7 +178,7 @@ TEST(Trace, BottleneckIsLargestBusyFilter) {
 
 TEST(Trace, SerializerEmbedsBottleneckAndSchema) {
   const Json j = Json::parse(trace_to_json(sample_trace()));
-  EXPECT_EQ(j.at("schema").as_string(), "cgpipe-trace-v8");
+  EXPECT_EQ(j.at("schema").as_string(), "cgpipe-trace-v9");
   EXPECT_EQ(j.at("bottleneck_filter").as_string(), "stage0");
 }
 
@@ -201,7 +201,7 @@ TEST(Trace, ReadsV3DocumentsWithEmptyReplicaPlan) {
   PipelineTrace trace = sample_trace();
   trace.stage_replicas = {2, 2, 1};
   std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
+  const std::size_t pos = json.find("cgpipe-trace-v9");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 15, "cgpipe-trace-v3");
   const std::size_t field = json.find("\"stage_replicas\"");
@@ -311,7 +311,7 @@ TEST(Trace, ReadsV4CheckpointRecordsWithoutParts) {
   cut.packet_index = 16;
   trace.checkpoints.push_back(cut);
   std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
+  const std::size_t pos = json.find("cgpipe-trace-v9");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 15, "cgpipe-trace-v4");
   const std::size_t field = json.find("\"parts\"");
@@ -330,7 +330,7 @@ TEST(Trace, ReadsV2DocumentsWithZeroCheckpointSurface) {
   // every v3 field at its benign default.
   PipelineTrace trace = sample_trace();
   std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
+  const std::size_t pos = json.find("cgpipe-trace-v9");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 15, "cgpipe-trace-v2");
   const PipelineTrace back = trace_from_json(json);
@@ -430,7 +430,7 @@ TEST(Trace, ReadsV5DocumentsWithoutPoolClasses) {
   trace.pool.hits = 8;
   trace.pool.misses = 2;
   std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
+  const std::size_t pos = json.find("cgpipe-trace-v9");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 15, "cgpipe-trace-v5");
   const std::size_t field = json.find("\"classes\"");
@@ -493,7 +493,7 @@ TEST(Trace, ReadsV7DocumentsWithoutSelfHealingSurface) {
   // default.
   PipelineTrace trace = sample_trace();
   std::string json = trace_to_json(trace);
-  const std::size_t pos = json.find("cgpipe-trace-v8");
+  const std::size_t pos = json.find("cgpipe-trace-v9");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 15, "cgpipe-trace-v7");
   const auto drop = [&json](const std::string& needle) {
@@ -508,6 +508,52 @@ TEST(Trace, ReadsV7DocumentsWithoutSelfHealingSurface) {
   EXPECT_FALSE(back.degraded);
   EXPECT_TRUE(back.respawns.empty());
   EXPECT_TRUE(back.heartbeats.empty());
+}
+
+TEST(Trace, InitSecondsRoundTrips) {
+  PipelineTrace trace = sample_trace();
+  trace.stage_metrics[0].init_seconds = 0.75;
+  const std::string json = trace_to_json(trace);
+  const PipelineTrace back = trace_from_json(json);
+  EXPECT_EQ(back.stage_metrics[0].init_seconds, 0.75);
+  EXPECT_EQ(back.stage_metrics[1].init_seconds, 0.0);
+  EXPECT_EQ(trace_to_json(back), json);
+
+  // A v8 document predates the field; it loads as 0.
+  std::string v8 = json;
+  const std::size_t pos = v8.find("cgpipe-trace-v9");
+  ASSERT_NE(pos, std::string::npos);
+  v8.replace(pos, 15, "cgpipe-trace-v8");
+  for (const std::string needle :
+       {"\"init_seconds\": 0.75,", "\"init_seconds\": 0,"}) {
+    const std::size_t at = v8.find(needle);
+    ASSERT_NE(at, std::string::npos) << needle;
+    v8.erase(at, needle.size());
+  }
+  ASSERT_EQ(v8.find("init_seconds"), std::string::npos);
+  const PipelineTrace old = trace_from_json(v8);
+  EXPECT_EQ(old.stage_metrics[0].init_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(old.stage_metrics[0].busy_seconds(), 1.5);
+
+  // Copies and attempts sum.
+  FilterMetrics sum = trace.stage_metrics[0];
+  sum.merge(trace.stage_metrics[0]);
+  EXPECT_EQ(sum.init_seconds, 1.5);
+}
+
+TEST(Trace, BottleneckIgnoresSetup) {
+  // The source is busiest over its lifetime (1.5 s vs the sink's 0.95 s),
+  // but 1.0 s of that was setup: the sink is the steady-state bottleneck.
+  PipelineTrace trace = sample_trace();
+  trace.stage_metrics[0].init_seconds = 1.0;
+  EXPECT_DOUBLE_EQ(trace.stage_metrics[0].busy_seconds(), 1.5);
+  EXPECT_EQ(trace.bottleneck_filter(), 1);
+  const Json j = Json::parse(trace_to_json(trace));
+  EXPECT_EQ(j.at("bottleneck_filter").as_string(), "stage1");
+  EXPECT_DOUBLE_EQ(
+      j.at("filters").as_array()[0].at("busy_seconds").as_number(), 1.5);
+  trace.stage_metrics[0].init_seconds = 0.25;
+  EXPECT_EQ(trace.bottleneck_filter(), 0);
 }
 
 TEST(Trace, MergeFoldsWorkerSlices) {

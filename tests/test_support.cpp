@@ -1,12 +1,16 @@
 // Unit tests for the support library: symbolic polynomials, rectilinear
-// sections, diagnostics, string helpers, deterministic RNG.
+// sections, diagnostics, string helpers, deterministic RNG, worker pool.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "support/diagnostics.h"
 #include "support/rng.h"
 #include "support/section.h"
 #include "support/str.h"
 #include "support/symexpr.h"
+#include "support/worker_pool.h"
 
 namespace cgp {
 namespace {
@@ -226,6 +230,80 @@ TEST(Rng, RangesRespected) {
     EXPECT_GE(d, 1.0);
     EXPECT_LT(d, 2.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// WorkerPool
+// ---------------------------------------------------------------------------
+
+using support::WorkerPool;
+
+std::thread::id run_on(WorkerPool& pool, std::size_t worker) {
+  std::thread::id id;
+  pool.submit(worker, [&id] { id = std::this_thread::get_id(); }).get();
+  return id;
+}
+
+TEST(WorkerPool, OneWorkerRunsItsJobsInOrderOnOneThread) {
+  WorkerPool pool(2);
+  std::vector<int> order;  // touched only by worker 1 until the gets
+  std::vector<std::thread::id> ids;
+  std::vector<std::future<void>> done;
+  for (int k = 0; k < 64; ++k) {
+    done.push_back(pool.submit(1, [&order, &ids, k] {
+      order.push_back(k);
+      ids.push_back(std::this_thread::get_id());
+    }));
+  }
+  for (std::future<void>& f : done) f.get();
+  ASSERT_EQ(order.size(), 64u);
+  for (int k = 0; k < 64; ++k) EXPECT_EQ(order[static_cast<std::size_t>(k)], k);
+  for (const std::thread::id& id : ids) EXPECT_EQ(id, ids.front());
+  EXPECT_NE(ids.front(), std::this_thread::get_id());
+  // Call after call, and for every index that maps to it.
+  EXPECT_EQ(run_on(pool, 1), ids.front());
+  EXPECT_EQ(run_on(pool, 3), ids.front());
+  EXPECT_NE(run_on(pool, 0), ids.front());
+
+  // A job's exception reaches its future, and the worker carries on.
+  auto failed = pool.submit(1, [] { throw std::runtime_error("job failed"); });
+  EXPECT_THROW(failed.get(), std::runtime_error);
+  EXPECT_EQ(run_on(pool, 1), ids.front());
+}
+
+TEST(WorkerPool, ConcurrentCallersBothComplete) {
+  WorkerPool pool(2);
+  std::atomic<int> ran{0};
+  auto caller = [&pool, &ran] {
+    std::vector<std::future<void>> done;
+    for (int k = 0; k < 200; ++k)
+      done.push_back(
+          pool.submit(static_cast<std::size_t>(k % 3), [&ran] { ++ran; }));
+    for (std::future<void>& f : done) f.get();
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(ran.load(), 400);
+}
+
+TEST(WorkerPool, QuiesceJoinsWorkersAndTheNextJobRestartsThem) {
+  // A joined thread's std::thread::id may be handed to a later thread, so
+  // a thread_local mark tells a fresh thread from the old one.
+  static thread_local int mark = 0;
+  WorkerPool pool(2);
+  pool.submit(0, [] { mark = 1; }).get();
+  int seen = 0;
+  pool.submit(0, [&seen] { seen = mark; }).get();
+  EXPECT_EQ(seen, 1);  // same thread, call after call
+
+  pool.quiesce();
+  pool.submit(0, [&seen] { seen = mark; }).get();
+  EXPECT_EQ(seen, 0);  // a new thread: the old one was joined
+  EXPECT_NE(run_on(pool, 0), std::this_thread::get_id());
+  pool.quiesce();
+  pool.quiesce();  // idempotent; the destructor quiesces once more
 }
 
 }  // namespace
