@@ -773,8 +773,23 @@ void collect_var_refs(const Stmt& stmt, std::set<std::string>& out) {
   }
 }
 
-/// Substitution map: variable name -> factory producing a replacement
-/// expression (a fresh clone per occurrence).
-
+bool can_complete_normally(const Stmt& stmt) {
+  switch (stmt.kind) {
+    case NodeKind::Block: {
+      const auto& block = static_cast<const BlockStmt&>(stmt);
+      return block.statements.empty() ||
+             can_complete_normally(*block.statements.back());
+    }
+    case NodeKind::ReturnStmt:
+      return false;
+    case NodeKind::IfStmt: {
+      const auto& node = static_cast<const IfStmt&>(stmt);
+      return !node.else_branch || can_complete_normally(*node.then_branch) ||
+             can_complete_normally(*node.else_branch);
+    }
+    default:
+      return true;
+  }
+}
 
 }  // namespace cgp

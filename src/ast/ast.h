@@ -338,4 +338,11 @@ std::string to_source(const Node& node, int indent = 0);
 void collect_var_refs(const Expr& expr, std::set<std::string>& out);
 void collect_var_refs(const Stmt& stmt, std::set<std::string>& out);
 
+/// Whether execution can fall through the end of `stmt`, by a rule simpler
+/// than Java's: a block can unless its last statement cannot, `return`
+/// cannot, an `if` cannot only when it has an `else` and neither branch
+/// can, and every other statement can. A non-void method whose body can is
+/// missing a return (sema rejects it).
+bool can_complete_normally(const Stmt& stmt);
+
 }  // namespace cgp

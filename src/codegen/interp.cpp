@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <future>
+#include <span>
 #include <sstream>
 
 #include "support/str.h"
@@ -234,6 +235,44 @@ bool load_b(const Value& v) {
   if (const auto* p = std::get_if<bool>(&v)) return *p;
   return as_bool(v);
 }
+/// load_d of a value stored under representation `rep`: an int slot's
+/// value converts straight from its int64.
+double load_d(const Value& v, Rep rep) {
+  if (rep == Rep::Int)
+    if (const auto* p = std::get_if<std::int64_t>(&v)) return static_cast<double>(*p);
+  return load_d(v);
+}
+
+/// An unboxed frame slot. Each slot has one numeric representation for
+/// the life of the lowered code, fixed at lowering, and every read comes
+/// after a write of that representation.
+union Scalar {
+  std::int64_t i;
+  double d;
+  bool b;
+};
+
+Value box(const Scalar& s, Rep rep) {
+  switch (rep) {
+    case Rep::Int: return s.i;
+    case Rep::Dbl: return s.d;
+    default: return s.b;
+  }
+}
+/// Stores `v`, already coerced to the slot's declared type, unboxed.
+void unbox(Scalar& s, Rep rep, const Value& v) {
+  switch (rep) {
+    case Rep::Int: s.i = load_i(v); return;
+    case Rep::Dbl: s.d = load_d(v); return;
+    default: s.b = load_b(v); return;
+  }
+}
+
+/// Slot counts of one frame: boxed Value slots and unboxed Scalar slots.
+struct FrameSize {
+  std::size_t vals = 0;
+  std::size_t scalars = 0;
+};
 
 /// Two's-complement wrap instead of signed-overflow UB.
 std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
@@ -314,12 +353,25 @@ struct SNode {
 };
 using S = std::unique_ptr<SNode>;
 
-/// A method body lowered once; parameters occupy the first frame slots.
+/// A parameter's frame slot: unboxed when rep is numeric, else a Value
+/// slot. `co` is the coercion a boxed store of its declared type applies.
+struct ParamSlot {
+  int slot;
+  Rep rep;
+  Coerce co;
+};
+
+/// A method body lowered once, registered before its body is lowered.
 struct Method {
   const MethodDecl* decl = nullptr;
-  std::vector<Coerce> params;
+  std::vector<ParamSlot> params;
   std::vector<S> body;
-  std::size_t frame_size = 0;
+  FrameSize frame;
+  /// Where the method leaves its result: the Machine's unboxed register
+  /// when every return carries this numeric representation and the body
+  /// cannot fall off its end, else (Val) its Value register. Val while
+  /// the body is still being lowered.
+  Rep ret_rep = Rep::Val;
 };
 
 }  // namespace
@@ -333,6 +385,8 @@ struct Interpreter::Machine {
     if (!info) throw InterpError({}, "unknown class '" + name + "'");
     return *info;
   }
+  /// The lowered `decl`, lowered on first request together with every
+  /// method its body calls.
   Method& method(const ClassInfo& cls, const MethodDecl& decl);
   Method& lookup(const std::string& class_name, const std::string& name) {
     const ClassInfo& cls = class_info(class_name);
@@ -347,12 +401,19 @@ struct Interpreter::Machine {
   const ClassRegistry& registry;
   std::map<std::string, std::int64_t> constants;
   double ops = 0.0;
-  Value ret;  // value of the last executed return statement
+  /// Result of the last method to return: `ret_s` for methods whose
+  /// ret_rep is numeric, else `ret` (null when the body fell off its end).
+  Value ret;
+  Scalar ret_s{};
   int call_depth = 0;
-  /// Frame stack: one slot vector per nesting level, reused across calls,
-  /// so frames are allocated once and pointers into a live level stay
-  /// valid while deeper levels come and go.
-  std::vector<std::vector<Value>> frames;
+  /// Frame stack: one level per nesting depth, reused across calls, so
+  /// frames are allocated once and pointers into a live level stay valid
+  /// while deeper levels come and go.
+  struct Level {
+    std::vector<Value> vals;
+    std::vector<Scalar> scalars;
+  };
+  std::vector<Level> frames;
   std::size_t frame_top = 0;
   std::map<const MethodDecl*, std::unique_ptr<Method>> methods;
   PipelinedHook hook;
@@ -365,70 +426,90 @@ using Machine = Interpreter::Machine;
 
 struct Ctx {
   Machine& m;
-  Value* fp;  // local slots of the running frame
-  Env* env;   // named slots; null inside method bodies
+  std::span<Value> fp;   // boxed local slots of the running frame
+  std::span<Scalar> sp;  // unboxed local slots of the running frame
+  Env* env;              // named slots; null inside method bodies
   const std::shared_ptr<Object>* self;  // receiver (possibly null)
 };
 
 const std::shared_ptr<Object> kNoSelf;
 
-/// One level of the frame stack, cleared on exit so the values it held
-/// are released when the call or run that owned it returns.
+/// One level of the frame stack. Its Value slots are cleared on exit, so
+/// the references they held are released when the call or run that owned
+/// it returns; Scalar slots hold none.
 class Frame {
  public:
-  Frame(Machine& m, std::size_t size) : m_(m), level_(m.frame_top) {
-    if (level_ == m.frames.size()) m.frames.emplace_back();
+  Frame(Machine& m, FrameSize size) : m_(m) {
+    const std::size_t level = m.frame_top;
+    if (level == m.frames.size()) m.frames.emplace_back();
     ++m.frame_top;
-    grow(size);
+    Machine::Level& slots = m.frames[level];
+    if (slots.vals.size() < size.vals) slots.vals.resize(size.vals);
+    if (slots.scalars.size() < size.scalars) slots.scalars.resize(size.scalars);
+    vals_ = {slots.vals.data(), size.vals};
+    scalars_ = {slots.scalars.data(), size.scalars};
   }
   ~Frame() {
-    std::vector<Value>& slots = m_.frames[level_];
-    for (std::size_t i = 0; i < used_; ++i) slots[i] = Value{};
+    for (Value& v : vals_) v = Value{};
     --m_.frame_top;
   }
   Frame(const Frame&) = delete;
   Frame& operator=(const Frame&) = delete;
 
-  void grow(std::size_t size) {
-    std::vector<Value>& slots = m_.frames[level_];
-    if (slots.size() < size) slots.resize(size);
-    used_ = std::max(used_, size);
-    data_ = slots.data();
-  }
-  Value* data() const { return data_; }
+  std::span<Value> vals() const { return vals_; }
+  std::span<Scalar> scalars() const { return scalars_; }
 
  private:
   Machine& m_;
-  std::size_t level_;
-  std::size_t used_ = 0;
-  Value* data_ = nullptr;
+  std::span<Value> vals_;
+  std::span<Scalar> scalars_;
 };
 
-/// Runs a lowered method on a frame whose first `nargs` slots hold the
-/// evaluated arguments.
-Value run_method(Machine& m, const Method& fn,
-                 const std::shared_ptr<Object>& self, Frame& frame,
-                 std::size_t nargs) {
-  const MethodDecl& decl = *fn.decl;
-  if (fn.params.size() != nargs)
-    throw InterpError(decl.location, "arity mismatch calling '" + decl.name + "'");
+/// Runs a lowered method on a frame whose parameter slots hold the
+/// arguments; the result is left where fn.ret_rep says.
+void enter(Machine& m, const Method& fn, const std::shared_ptr<Object>& self,
+           const Frame& frame) {
   if (++m.call_depth > kMaxCallDepth) {
     --m.call_depth;
-    throw InterpError(decl.location, "call depth limit exceeded");
+    throw InterpError(fn.decl->location, "call depth limit exceeded");
   }
   struct DepthGuard {
     int& depth;
     ~DepthGuard() { --depth; }
   } guard{m.call_depth};
   m.ops += 2.0 * kBranchOp;
-  frame.grow(fn.frame_size);
-  Value* fp = frame.data();
-  for (std::size_t k = 0; k < nargs; ++k) coerce(fn.params[k], fp[k]);
-  m.ret = Value{};
-  Ctx c{m, fp, nullptr, &self};
+  Ctx c{m, frame.vals(), frame.scalars(), nullptr, &self};
   for (const S& s : fn.body)
-    if (s->run(c) == Flow::Return) break;
-  return m.ret;
+    if (s->run(c) == Flow::Return) return;
+  m.ret = Value{};
+}
+
+/// The result of the method that just returned, boxed when its ret_rep
+/// is numeric.
+Value take_result(Machine& m, Rep ret_rep) {
+  if (ret_rep == Rep::Val) return std::move(m.ret);
+  return box(m.ret_s, ret_rep);
+}
+
+/// Calls `fn` with boxed arguments (the Interpreter's API entry points),
+/// coercing each as a boxed store of its parameter's type would.
+Value run_method(Machine& m, const Method& fn, const std::shared_ptr<Object>& self,
+                 std::vector<Value> args) {
+  const MethodDecl& decl = *fn.decl;
+  if (fn.params.size() != args.size())
+    throw InterpError(decl.location, "arity mismatch calling '" + decl.name + "'");
+  Frame frame(m, fn.frame);
+  for (std::size_t k = 0; k < args.size(); ++k) {
+    const ParamSlot& p = fn.params[k];
+    if (p.rep == Rep::Val) {
+      frame.vals()[p.slot] = std::move(args[k]);
+    } else {
+      coerce(p.co, args[k]);
+      unbox(frame.scalars()[p.slot], p.rep, args[k]);
+    }
+  }
+  enter(m, fn, self, frame);
+  return take_result(m, fn.ret_rep);
 }
 
 std::vector<Value> default_fields(const ClassInfo& cls) {
@@ -437,23 +518,6 @@ std::vector<Value> default_fields(const ClassInfo& cls) {
   for (const FieldInfo& field : cls.fields)
     fields.push_back(Interpreter::default_value(field.type));
   return fields;
-}
-
-/// Allocates an object of `cls` and runs its constructor with the
-/// arguments already in `frame`.
-std::shared_ptr<Object> construct_in(Machine& m, const ClassInfo& cls,
-                                     std::vector<Value> fields, Frame& frame,
-                                     std::size_t nargs) {
-  auto obj = std::make_shared<Object>();
-  obj->class_name = cls.name;
-  obj->fields = std::move(fields);
-  const MethodDecl* ctor = cls.constructor();
-  if (ctor && ctor->body) {
-    run_method(m, m.method(cls, *ctor), obj, frame, nargs);
-  } else if (nargs > 0) {
-    throw InterpError({}, "class '" + cls.name + "' has no constructor");
-  }
-  return obj;
 }
 
 void discard(const XNode& x, Ctx& c) {
@@ -511,7 +575,7 @@ struct Stored : XNode {
   const Derived& self() const { return static_cast<const Derived&>(*this); }
   Value v(Ctx& c) const override { return self().at(c); }
   std::int64_t i(Ctx& c) const override { return load_i(self().at(c)); }
-  double d(Ctx& c) const override { return load_d(self().at(c)); }
+  double d(Ctx& c) const override { return load_d(self().at(c), rep); }
   bool b(Ctx& c) const override { return load_b(self().at(c)); }
   const Value* ref(Ctx& c) const override { return &self().at(c); }
 };
@@ -521,6 +585,23 @@ struct LocalRead final : Stored<LocalRead> {
     pure = has_ref = true;
   }
   const Value& at(Ctx& c) const { return c.fp[slot]; }
+  int slot;
+};
+
+/// Reads of unboxed local slots.
+struct IntLocal final : IntX {
+  IntLocal(int s, SourceLocation l) : IntX(l), slot(s) { pure = true; }
+  std::int64_t i(Ctx& c) const override { return c.sp[slot].i; }
+  int slot;
+};
+struct DblLocal final : DblX {
+  DblLocal(int s, SourceLocation l) : DblX(l), slot(s) { pure = true; }
+  double d(Ctx& c) const override { return c.sp[slot].d; }
+  int slot;
+};
+struct BoolLocal final : BoolX {
+  BoolLocal(int s, SourceLocation l) : BoolX(l), slot(s) { pure = true; }
+  bool b(Ctx& c) const override { return c.sp[slot].b; }
   int slot;
 };
 
@@ -595,17 +676,34 @@ struct FieldRead final : Stored<FieldRead> {
     return visit(c, [](const Value& x) { return x; });
   }
   std::int64_t i(Ctx& c) const override { return visit(c, load_i); }
-  double d(Ctx& c) const override { return visit(c, load_d); }
+  double d(Ctx& c) const override {
+    return visit(c, [this](const Value& x) { return load_d(x, rep); });
+  }
   bool b(Ctx& c) const override { return visit(c, load_b); }
   X base;
   int field;
 };
 
-/// Any other field access, resolved on the runtime value (array
-/// `length`, untyped bases).
+/// `base.length` on a base sema typed as an array.
+struct ArrayLength final : IntX {
+  ArrayLength(X b, SourceLocation l) : IntX(l), base(std::move(b)) { pure = base->pure; }
+  std::int64_t i(Ctx& c) const override {
+    return with_base(*base, base->has_ref, c, [&](const Value& bv) -> std::int64_t {
+      c.m.ops += kMemOp;
+      const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv);
+      if (!arr) throw InterpError(loc, "field access on null/non-object");
+      if (!*arr) throw InterpError(loc, "field access on null array");
+      return static_cast<std::int64_t>((*arr)->elems.size());
+    });
+  }
+  X base;
+};
+
+/// Any other field access, resolved on the runtime value (untyped bases).
 struct FieldDyn final : XNode {
-  FieldDyn(X b, std::string f, Rep r, SourceLocation l)
-      : XNode(r, l), base(std::move(b)), field(std::move(f)) {
+  FieldDyn(X b, std::string f, SourceLocation l)
+      : XNode(Rep::Val, l), base(std::move(b)), field(std::move(f)),
+        length(field == "length") {
     pure = base->pure;
   }
   Value v(Ctx& c) const override {
@@ -613,7 +711,7 @@ struct FieldDyn final : XNode {
       c.m.ops += kMemOp;
       if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv)) {
         if (!*arr) throw InterpError(loc, "field access on null array");
-        if (field == "length") return static_cast<std::int64_t>((*arr)->elems.size());
+        if (length) return static_cast<std::int64_t>((*arr)->elems.size());
         throw InterpError(loc, "arrays only have 'length'");
       }
       const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
@@ -627,6 +725,7 @@ struct FieldDyn final : XNode {
   }
   X base;
   std::string field;
+  bool length;  // the field is `length`
 };
 
 struct IndexRead final : Stored<IndexRead> {
@@ -658,7 +757,9 @@ struct IndexRead final : Stored<IndexRead> {
     return visit(c, [](const Value& x) { return x; });
   }
   std::int64_t i(Ctx& c) const override { return visit(c, load_i); }
-  double d(Ctx& c) const override { return visit(c, load_d); }
+  double d(Ctx& c) const override {
+    return visit(c, [this](const Value& x) { return load_d(x, rep); });
+  }
   bool b(Ctx& c) const override { return visit(c, load_b); }
   X base;
   X index;
@@ -729,6 +830,36 @@ struct IncDec final : XNode {
   }
   P place;
   bool inc;
+  bool pre;
+};
+
+/// `++`/`--` on an unboxed int or float/double local.
+struct IncDecInt final : IntX {
+  IncDecInt(int s, bool increment, bool prefix, SourceLocation l)
+      : IntX(l), slot(s), step(increment ? 1 : -1), pre(prefix) {}
+  std::int64_t i(Ctx& c) const override {
+    std::int64_t& x = c.sp[slot].i;
+    c.m.ops += kIntOp + kMemOp;
+    const std::int64_t old = x;
+    x = wrap_add(old, step);
+    return pre ? x : old;
+  }
+  int slot;
+  std::int64_t step;
+  bool pre;
+};
+struct IncDecDbl final : DblX {
+  IncDecDbl(int s, bool increment, bool prefix, SourceLocation l)
+      : DblX(l), slot(s), step(increment ? 1.0 : -1.0), pre(prefix) {}
+  double d(Ctx& c) const override {
+    double& x = c.sp[slot].d;
+    c.m.ops += kIntOp + kMemOp;
+    const double old = x;
+    x = old + step;
+    return pre ? x : old;
+  }
+  int slot;
+  double step;
   bool pre;
 };
 
@@ -1064,171 +1195,301 @@ BinaryOp arith_op(AssignOp op) {
   }
 }
 
+/// Where a typed assignment stores: a boxed Place, or an unboxed local
+/// slot of the assignment's representation.
+struct BoxedSlot {
+  P place;
+  Value* open(Ctx& c, Value& keep) const { return place->addr(c, keep); }
+  static std::int64_t get_i(const Value* s) { return load_i(*s); }
+  static double get_d(const Value* s) { return load_d(*s); }
+  static void put(Value* s, std::int64_t x) { *s = x; }
+  static void put(Value* s, double x) { *s = x; }
+};
+struct IntSlot {
+  int slot;
+  std::int64_t* open(Ctx& c, Value&) const { return &c.sp[slot].i; }
+  static std::int64_t get_i(const std::int64_t* s) { return *s; }
+  static double get_d(const std::int64_t* s) { return static_cast<double>(*s); }
+  static void put(std::int64_t* s, std::int64_t x) { *s = x; }
+};
+struct DblSlot {
+  int slot;
+  double* open(Ctx& c, Value&) const { return &c.sp[slot].d; }
+  static double get_d(const double* s) { return *s; }
+  static void put(double* s, double x) { *s = x; }
+};
+
 /// Assignment of a numeric-rep value to an int-typed target.
+template <class Target>
 struct AssignInt final : IntX {
-  AssignInt(AssignOp o, P p, X x, SourceLocation l)
-      : IntX(l), op(o), place(std::move(p)), value(std::move(x)) {}
+  AssignInt(AssignOp o, Target t, X x, SourceLocation l)
+      : IntX(l), op(o), target(std::move(t)), value(std::move(x)) {}
   std::int64_t i(Ctx& c) const override {
     if (value->rep == Rep::Dbl) {
       const double x = value->d(c);
       Value keep;
-      Value* slot = place->addr(c, keep);
+      auto* slot = target.open(c, keep);
       c.m.ops += kMemOp;
       double result = x;
       if (op != AssignOp::Assign) {
         c.m.ops += kFloatOp;
-        result = arith(arith_op(op), load_d(*slot), x);
+        result = arith(arith_op(op), Target::get_d(slot), x);
       }
       const auto stored = static_cast<std::int64_t>(result);
-      *slot = stored;
+      Target::put(slot, stored);
       return stored;
     }
     const std::int64_t x = value->i(c);
     Value keep;
-    Value* slot = place->addr(c, keep);
+    auto* slot = target.open(c, keep);
     c.m.ops += kMemOp;
     std::int64_t result = x;
     if (op != AssignOp::Assign) {
       c.m.ops += kIntOp;
       if (op == AssignOp::DivAssign && x == 0)
         throw InterpError(loc, "integer division by zero");
-      result = arith(arith_op(op), load_i(*slot), x, loc);
+      result = arith(arith_op(op), Target::get_i(slot), x, loc);
     }
-    *slot = result;
+    Target::put(slot, result);
     return result;
   }
   AssignOp op;
-  P place;
+  Target target;
   X value;
 };
 
 /// Assignment of a numeric-rep value to a float- or double-typed target.
+template <class Target>
 struct AssignDbl final : DblX {
-  AssignDbl(AssignOp o, P p, X x, Coerce k, SourceLocation l)
-      : DblX(l), op(o), place(std::move(p)), value(std::move(x)), co(k) {}
+  AssignDbl(AssignOp o, Target t, X x, Coerce k, SourceLocation l)
+      : DblX(l), op(o), target(std::move(t)), value(std::move(x)), co(k) {}
   double d(Ctx& c) const override {
     if (op == AssignOp::Assign && value->rep == Rep::Int) {
       // Converted straight from the integer: one rounding, as coerce().
       const std::int64_t x = value->i(c);
       Value keep;
-      Value* slot = place->addr(c, keep);
+      auto* slot = target.open(c, keep);
       c.m.ops += kMemOp;
       const double result = to_floating(co, x);
-      *slot = result;
+      Target::put(slot, result);
       return result;
     }
     const double x = value->d(c);
     Value keep;
-    Value* slot = place->addr(c, keep);
+    auto* slot = target.open(c, keep);
     c.m.ops += kMemOp;
     double result = x;
     if (op != AssignOp::Assign) {
       c.m.ops += kFloatOp;
-      result = arith(arith_op(op), load_d(*slot), x);
+      result = arith(arith_op(op), Target::get_d(slot), x);
     }
     result = to_floating(co, result);
-    *slot = result;
+    Target::put(slot, result);
     return result;
   }
   AssignOp op;
-  P place;
+  Target target;
   X value;
   Coerce co;
 };
 
+/// Assignment to an unboxed local of a value of unknown representation,
+/// or to a boolean local: AssignVal's semantics, stored unboxed.
+struct AssignScalarVal final : XNode {
+  AssignScalarVal(AssignOp o, int s, Rep r, Coerce k, X x, SourceLocation l)
+      : XNode(r, l), op(o), slot(s), co(k), value(std::move(x)) {}
+  Value v(Ctx& c) const override {
+    Value result = value->v(c);
+    Scalar& s = c.sp[slot];
+    c.m.ops += kMemOp;
+    if (op != AssignOp::Assign) result = compound(op, box(s, rep), result, c.m.ops, loc);
+    coerce(co, result);
+    unbox(s, rep, result);
+    return result;
+  }
+  AssignOp op;
+  int slot;
+  Coerce co;
+  X value;
+};
+
 // ---- calls and allocation --------------------------------------------------
 
-/// Evaluates call arguments, in order, into the first slots of `frame`.
-void eval_args(const std::vector<X>& args, Frame& frame, Ctx& c) {
-  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = args[k]->v(c);
+/// Evaluates `x` into an unboxed slot of representation `rep`, with the
+/// coercion `co` that a boxed store of the slot's declared type applies.
+void eval_into(Ctx& c, const XNode& x, Rep rep, Coerce co, Scalar& s) {
+  switch (rep) {
+    case Rep::Int:
+      s.i = x.i(c);
+      return;
+    case Rep::Bool:
+      s.b = x.b(c);
+      return;
+    default:
+      break;
+  }
+  if (co != Coerce::Float || x.rep == Rep::Dbl) {
+    s.d = to_floating(co, x.d(c));
+  } else if (x.rep == Rep::Int) {
+    s.d = to_floating(co, x.i(c));  // one rounding, as coerce()
+  } else {
+    Value v = x.v(c);
+    coerce(co, v);
+    s.d = load_d(v);
+  }
 }
 
-struct MethodCall final : XNode {
-  MethodCall(X b, std::string name, std::string resolved, std::vector<X> a, SourceLocation l)
-      : XNode(Rep::Val, l), base(std::move(b)), callee(std::move(name)),
-        resolved_class(std::move(resolved)), args(std::move(a)) {}
-  Value v(Ctx& c) const override {
-    Frame frame(c.m, args.size());
-    eval_args(args, frame, c);
-    std::shared_ptr<Object> receiver;
-    if (base) {
-      const Value bv = base->v(c);
-      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
-      if (!obj || !*obj) throw InterpError(loc, "method call on null/non-object");
-      receiver = *obj;
-    } else {
-      receiver = *c.self;
-    }
-    const std::string& cls = receiver ? receiver->class_name : resolved_class;
-    // Dispatch is on the runtime class (interface-typed receivers); the
-    // last target is cached.
-    if (!target || cached_class != cls) {
-      target = &c.m.lookup(cls, callee);
-      cached_class = cls;
-    }
-    return run_method(c.m, *target, receiver, frame, args.size());
+/// Evaluates call arguments, in order, straight into `fn`'s parameter
+/// slots of `frame`.
+void pass_args(Ctx& c, const std::vector<X>& args, const Method& fn, const Frame& frame) {
+  for (std::size_t k = 0; k < args.size(); ++k) {
+    const ParamSlot& p = fn.params[k];
+    if (p.rep == Rep::Val)
+      frame.vals()[p.slot] = args[k]->v(c);
+    else
+      eval_into(c, *args[k], p.rep, p.co, frame.scalars()[p.slot]);
   }
-  X base;
-  std::string callee;
-  std::string resolved_class;
+}
+
+/// A method call bound to its target at lowering: sema fixes every
+/// target, since the dialect has no `extends` and rejects calls through
+/// interface types.
+struct CallSite {
+  const Method& fn;
+  X base;  // null: the caller's receiver
   std::vector<X> args;
-  mutable const Method* target = nullptr;
-  mutable std::string cached_class;
+
+  /// The callee's frame is pushed before the arguments are evaluated, so
+  /// calls nested in them run one level deeper.
+  void invoke(Ctx& c, SourceLocation loc) const {
+    Frame frame(c.m, fn.frame);
+    pass_args(c, args, fn, frame);
+    if (!base) return enter(c.m, fn, *c.self, frame);
+    const Value bv = base->v(c);
+    const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+    if (!obj || !*obj) throw InterpError(loc, "method call on null/non-object");
+    enter(c.m, fn, *obj, frame);
+  }
+};
+
+/// Calls to methods that hand back an int, a double or a boolean unboxed.
+struct CallInt final : IntX {
+  CallInt(CallSite s, SourceLocation l) : IntX(l), site(std::move(s)) {}
+  std::int64_t i(Ctx& c) const override {
+    site.invoke(c, loc);
+    return c.m.ret_s.i;
+  }
+  CallSite site;
+};
+struct CallDbl final : DblX {
+  CallDbl(CallSite s, SourceLocation l) : DblX(l), site(std::move(s)) {}
+  double d(Ctx& c) const override {
+    site.invoke(c, loc);
+    return c.m.ret_s.d;
+  }
+  CallSite site;
+};
+struct CallBool final : BoolX {
+  CallBool(CallSite s, SourceLocation l) : BoolX(l), site(std::move(s)) {}
+  bool b(Ctx& c) const override {
+    site.invoke(c, loc);
+    return c.m.ret_s.b;
+  }
+  CallSite site;
+};
+
+/// Any other call, including one lowered while its callee still was
+/// (recursion): the result is read from wherever the callee's ret_rep
+/// puts it.
+struct CallVal final : XNode {
+  CallVal(CallSite s, SourceLocation l) : XNode(Rep::Val, l), site(std::move(s)) {}
+  Value v(Ctx& c) const override {
+    site.invoke(c, loc);
+    return take_result(c.m, site.fn.ret_rep);
+  }
+  CallSite site;
 };
 
 /// Rectdomain `size()`, `lo()` and `hi()`.
 struct DomainAccessor final : IntX {
-  DomainAccessor(X b, std::string name, SourceLocation l)
-      : IntX(l), base(std::move(b)), callee(std::move(name)) {
+  enum class Part : std::uint8_t { Size, Lo, Hi };
+  DomainAccessor(X b, Part p, SourceLocation l) : IntX(l), base(std::move(b)), part(p) {
     pure = base->pure;
   }
   std::int64_t i(Ctx& c) const override {
     const Value bv = base->v(c);
-    if (const auto* dom = std::get_if<RectDomainVal>(&bv)) {
-      if (callee == "size") return dom->size();
-      if (callee == "lo") return dom->lo;
-      if (callee == "hi") return dom->hi;
+    const auto* dom = std::get_if<RectDomainVal>(&bv);
+    if (!dom) throw InterpError(loc, "bad intrinsic receiver");
+    switch (part) {
+      case Part::Size: return dom->size();
+      case Part::Lo: return dom->lo;
+      default: return dom->hi;
     }
-    throw InterpError(loc, "bad intrinsic receiver");
   }
   X base;
-  std::string callee;
+  Part part;
 };
 
-/// sqrt, floor, ceil, exp, log, sin, cos, pow, atan2 on numeric-rep args.
-struct MathCall final : DblX {
-  using Fn1 = double (*)(double);
-  using Fn2 = double (*)(double, double);
-  MathCall(Fn1 f, Fn2 g, double k, std::vector<X> a, SourceLocation l)
-      : DblX(l), fn1(f), fn2(g), cost(k), args(std::move(a)) {
-    pure = true;
-    for (const X& x : args) pure = pure && x->pure;
-  }
-  double d(Ctx& c) const override {
-    const double x = args[0]->d(c);
-    if (fn2) {
-      const double y = args[1]->d(c);
-      c.m.ops += cost;
-      return fn2(x, y);
-    }
-    c.m.ops += cost;
-    return fn1(x);
-  }
-  Fn1 fn1;
-  Fn2 fn2;
+enum class Math : std::uint8_t { Sqrt, Floor, Ceil, Exp, Log, Sin, Cos, Pow, Atan2, Abs, Min, Max };
+
+/// An intrinsic function resolved at lowering.
+struct IntrinsicFn {
+  Math op;
+  std::size_t arity;
   double cost;
-  std::vector<X> args;
+  /// abs, min and max keep integer arguments integral.
+  bool integral() const { return op == Math::Abs || op == Math::Min || op == Math::Max; }
 };
 
-/// min, max and abs on numeric-rep args; Int when no argument is
-/// floating.
-struct MinMaxAbs final : XNode {
-  MinMaxAbs(std::string name, std::vector<X> a, SourceLocation l)
-      : XNode(Rep::Int, l), callee(std::move(name)), args(std::move(a)) {
-    for (const X& x : args)
-      if (x->rep == Rep::Dbl || (callee == "abs" && x->rep == Rep::Bool)) rep = Rep::Dbl;
+const IntrinsicFn* find_intrinsic(const std::string& name) {
+  static const std::map<std::string, IntrinsicFn> table = {
+      {"sqrt", {Math::Sqrt, 1, 15.0 * kFloatOp}},  {"floor", {Math::Floor, 1, 2.0 * kFloatOp}},
+      {"ceil", {Math::Ceil, 1, 2.0 * kFloatOp}},   {"exp", {Math::Exp, 1, 30.0 * kFloatOp}},
+      {"log", {Math::Log, 1, 30.0 * kFloatOp}},    {"sin", {Math::Sin, 1, 30.0 * kFloatOp}},
+      {"cos", {Math::Cos, 1, 30.0 * kFloatOp}},    {"pow", {Math::Pow, 2, 30.0 * kFloatOp}},
+      {"atan2", {Math::Atan2, 2, 30.0 * kFloatOp}}, {"abs", {Math::Abs, 1, 2.0 * kFloatOp}},
+      {"min", {Math::Min, 2, 2.0 * kFloatOp}},     {"max", {Math::Max, 2, 2.0 * kFloatOp}},
+  };
+  auto it = table.find(name);
+  return it == table.end() ? nullptr : &it->second;
+}
+
+double apply(Math op, double x, double y) {
+  switch (op) {
+    case Math::Sqrt: return std::sqrt(x);
+    case Math::Floor: return std::floor(x);
+    case Math::Ceil: return std::ceil(x);
+    case Math::Exp: return std::exp(x);
+    case Math::Log: return std::log(x);
+    case Math::Sin: return std::sin(x);
+    case Math::Cos: return std::cos(x);
+    case Math::Pow: return std::pow(x, y);
+    case Math::Atan2: return std::atan2(x, y);
+    case Math::Abs: return std::fabs(x);
+    case Math::Min: return std::min(x, y);
+    default: return std::max(x, y);
+  }
+}
+
+/// abs, min and max on integers.
+std::int64_t apply(Math op, std::int64_t x, std::int64_t y) {
+  switch (op) {
+    case Math::Abs: return x < 0 ? wrap_sub(0, x) : x;
+    case Math::Min: return std::min(x, y);
+    default: return std::max(x, y);
+  }
+}
+
+/// Intrinsic on numeric-rep args: Int for abs, min and max when no
+/// argument is floating, else Dbl.
+struct MathCall final : XNode {
+  MathCall(const IntrinsicFn& f, std::vector<X> a, SourceLocation l)
+      : XNode(f.integral() ? Rep::Int : Rep::Dbl, l), fn(f), args(std::move(a)) {
     pure = true;
-    for (const X& x : args) pure = pure && x->pure;
+    for (const X& x : args) {
+      if (x->rep == Rep::Dbl || (fn.op == Math::Abs && x->rep == Rep::Bool)) rep = Rep::Dbl;
+      pure = pure && x->pure;
+    }
   }
   Value v(Ctx& c) const override {
     if (rep == Rep::Dbl) return d(c);
@@ -1237,95 +1498,60 @@ struct MinMaxAbs final : XNode {
   std::int64_t i(Ctx& c) const override {
     if (rep == Rep::Dbl) return static_cast<std::int64_t>(d(c));
     const std::int64_t x = args[0]->i(c);
-    if (callee == "abs") {
-      c.m.ops += 2.0 * kFloatOp;
-      return x < 0 ? wrap_sub(0, x) : x;
-    }
-    const std::int64_t y = args[1]->i(c);
-    c.m.ops += 2.0 * kFloatOp;
-    return callee == "min" ? std::min(x, y) : std::max(x, y);
+    const std::int64_t y = fn.arity == 2 ? args[1]->i(c) : 0;
+    c.m.ops += fn.cost;
+    return apply(fn.op, x, y);
   }
   double d(Ctx& c) const override {
     if (rep == Rep::Int) return static_cast<double>(i(c));
     const double x = args[0]->d(c);
-    if (callee == "abs") {
-      c.m.ops += 2.0 * kFloatOp;
-      return std::fabs(x);
-    }
-    const double y = args[1]->d(c);
-    c.m.ops += 2.0 * kFloatOp;
-    return callee == "min" ? std::min(x, y) : std::max(x, y);
+    const double y = fn.arity == 2 ? args[1]->d(c) : 0.0;
+    c.m.ops += fn.cost;
+    return apply(fn.op, x, y);
   }
-  std::string callee;
+  IntrinsicFn fn;
   std::vector<X> args;
 };
 
 /// Intrinsic call on arguments of unknown representation.
 struct IntrinsicVal final : XNode {
-  IntrinsicVal(std::string name, std::vector<X> a, SourceLocation l)
-      : XNode(Rep::Val, l), callee(std::move(name)), args(std::move(a)) {}
+  IntrinsicVal(const IntrinsicFn& f, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Val, l), fn(f), args(std::move(a)) {}
   Value v(Ctx& c) const override {
-    std::vector<Value> vals;
-    vals.reserve(args.size());
-    for (const X& x : args) vals.push_back(x->v(c));
-    auto arg_d = [&](std::size_t k) { return as_double(vals[k]); };
-    double& ops = c.m.ops;
-    if (callee == "sqrt") {
-      ops += 15.0 * kFloatOp;
-      return std::sqrt(arg_d(0));
+    const Value x = args[0]->v(c);
+    const Value y = fn.arity == 2 ? args[1]->v(c) : Value{};
+    c.m.ops += fn.cost;
+    if (fn.op == Math::Abs) {
+      if (const auto* k = std::get_if<std::int64_t>(&x)) return apply(fn.op, *k, 0);
+    } else if (fn.integral() && !std::holds_alternative<double>(x) &&
+               !std::holds_alternative<double>(y)) {
+      return apply(fn.op, as_int(x), as_int(y));
     }
-    if (callee == "abs") {
-      ops += 2.0 * kFloatOp;
-      if (const auto* k = std::get_if<std::int64_t>(&vals[0])) return *k < 0 ? wrap_sub(0, *k) : *k;
-      return std::fabs(arg_d(0));
-    }
-    if (callee == "min" || callee == "max") {
-      ops += 2.0 * kFloatOp;
-      const bool floating = std::holds_alternative<double>(vals[0]) ||
-                            std::holds_alternative<double>(vals[1]);
-      if (floating)
-        return callee == "min" ? std::min(arg_d(0), arg_d(1)) : std::max(arg_d(0), arg_d(1));
-      return callee == "min" ? std::min(as_int(vals[0]), as_int(vals[1]))
-                             : std::max(as_int(vals[0]), as_int(vals[1]));
-    }
-    if (callee == "floor") {
-      ops += 2.0 * kFloatOp;
-      return std::floor(arg_d(0));
-    }
-    if (callee == "ceil") {
-      ops += 2.0 * kFloatOp;
-      return std::ceil(arg_d(0));
-    }
-    ops += 30.0 * kFloatOp;
-    if (callee == "pow") return std::pow(arg_d(0), arg_d(1));
-    if (callee == "exp") return std::exp(arg_d(0));
-    if (callee == "log") return std::log(arg_d(0));
-    if (callee == "sin") return std::sin(arg_d(0));
-    if (callee == "cos") return std::cos(arg_d(0));
-    if (callee == "atan2") return std::atan2(arg_d(0), arg_d(1));
-    throw InterpError(loc, "unknown intrinsic '" + callee + "'");
+    return apply(fn.op, as_double(x), fn.arity == 2 ? as_double(y) : 0.0);
   }
-  std::string callee;
+  IntrinsicFn fn;
   std::vector<X> args;
 };
 
+/// `new C(args)`: the class, its default fields and its constructor are
+/// resolved at lowering.
 struct NewObject final : XNode {
-  NewObject(std::string cls, std::vector<X> a, SourceLocation l)
-      : XNode(Rep::Val, l), class_name(std::move(cls)), args(std::move(a)) {}
+  NewObject(const ClassInfo& cls, const Method* c, std::vector<X> a, SourceLocation l)
+      : XNode(Rep::Val, l), info(cls), ctor(c), fields(default_fields(cls)), args(std::move(a)) {}
   Value v(Ctx& c) const override {
-    Frame frame(c.m, args.size());
-    eval_args(args, frame, c);
+    Frame frame(c.m, ctor ? ctor->frame : FrameSize{});
+    if (ctor) pass_args(c, args, *ctor, frame);
     c.m.ops += 4.0 * kMemOp;
-    if (!info) {
-      info = &c.m.class_info(class_name);
-      fields = default_fields(*info);
-    }
-    return construct_in(c.m, *info, fields, frame, args.size());
+    auto obj = std::make_shared<Object>();
+    obj->class_name = info.name;
+    obj->fields = fields;
+    if (ctor) enter(c.m, *ctor, obj, frame);
+    return obj;
   }
-  std::string class_name;
+  const ClassInfo& info;
+  const Method* ctor;         // null: nothing to run, and no arguments
+  std::vector<Value> fields;  // default field values, copied per object
   std::vector<X> args;
-  mutable const ClassInfo* info = nullptr;
-  mutable std::vector<Value> fields;  // default field values, copied per object
 };
 
 struct NewArray final : XNode {
@@ -1373,11 +1599,16 @@ struct ExprStmtNode final : SNode {
   X expr;
 };
 
-/// Declaration into a local slot, or into the Env's current scope for
-/// the top level of code lowered against an Env (`named`).
+/// Where a name lives: an Env slot (top-level names of code lowered
+/// against an Env, which the packet codec binds by name), a boxed frame
+/// slot, or an unboxed frame slot (locals sema typed int, float or
+/// boolean).
+enum class Storage : std::uint8_t { Named, Boxed, Unboxed };
+
+/// Declaration of a name stored as `where` says.
 struct Decl final : SNode {
-  Decl(bool n, int s, X x, const TypePtr& type)
-      : named(n), slot(s), init(std::move(x)), target(rep_of(type)),
+  Decl(Storage w, int s, X x, const TypePtr& type)
+      : where(w), slot(s), init(std::move(x)), target(rep_of(type)),
         co(coerce_kind(type)), fill(Interpreter::default_value(type)) {}
   Value value(Ctx& c) const {
     if (!init) return fill;
@@ -1391,16 +1622,26 @@ struct Decl final : SNode {
     return v;
   }
   Flow run(Ctx& c) const override {
-    if (named) {
-      c.env->declare_at(slot, value(c));
-    } else {
-      Value v = value(c);
-      c.fp[slot] = std::move(v);
+    switch (where) {
+      case Storage::Named:
+        c.env->declare_at(slot, value(c));
+        break;
+      case Storage::Boxed: {
+        Value v = value(c);
+        c.fp[slot] = std::move(v);
+        break;
+      }
+      case Storage::Unboxed:
+        if (init)
+          eval_into(c, *init, target, co, c.sp[slot]);
+        else
+          unbox(c.sp[slot], target, fill);
+        break;
     }
     c.m.ops += kMemOp;
     return Flow::Normal;
   }
-  bool named;
+  Storage where;
   int slot;
   X init;  // null: default value
   Rep target;
@@ -1469,13 +1710,28 @@ struct ForNode final : SNode {
   S body;
 };
 
-/// Runs `body` once per value of the loop variable in `var`; shared by
+/// A local's frame slot: unboxed when rep is numeric, else boxed.
+struct Local {
+  int slot;
+  Rep rep;
+  void set(Ctx& c, const Value& v) const {
+    if (rep == Rep::Val)
+      c.fp[slot] = v;
+    else
+      unbox(c.sp[slot], rep, v);
+  }
+};
+
+/// Runs `body` once per value of the loop variable `var`; shared by
 /// foreach over index ranges and the sequential packet loop.
-Flow count_loop(Ctx& c, std::int64_t lo, std::int64_t hi, int var,
+Flow count_loop(Ctx& c, std::int64_t lo, std::int64_t hi, Local var,
                 const SNode& body, double per_iteration) {
   for (std::int64_t k = lo; k <= hi; ++k) {
     c.m.ops += per_iteration;
-    c.fp[var] = k;
+    if (var.rep == Rep::Int)
+      c.sp[var.slot].i = k;
+    else
+      var.set(c, k);
     const Flow flow = body.run(c);
     if (flow == Flow::Break) break;
     if (flow == Flow::Return) return flow;
@@ -1484,7 +1740,7 @@ Flow count_loop(Ctx& c, std::int64_t lo, std::int64_t hi, int var,
 }
 
 struct ForeachNode final : SNode {
-  ForeachNode(X dom, int v, S s, SourceLocation l) : domain(std::move(dom)), var(v), body(std::move(s)), loc(l) {}
+  ForeachNode(X dom, Local v, S s, SourceLocation l) : domain(std::move(dom)), var(v), body(std::move(s)), loc(l) {}
   Flow run(Ctx& c) const override {
     const Value dom = domain->v(c);
     if (const auto* range = std::get_if<RectDomainVal>(&dom))
@@ -1494,7 +1750,7 @@ struct ForeachNode final : SNode {
     if (!*arr) throw InterpError(loc, "foreach over null array");
     for (const Value& elem : (*arr)->elems) {
       c.m.ops += kBranchOp + kMemOp;
-      c.fp[var] = elem;
+      var.set(c, elem);
       const Flow flow = body->run(c);
       if (flow == Flow::Break) break;
       if (flow == Flow::Return) return flow;
@@ -1502,7 +1758,7 @@ struct ForeachNode final : SNode {
     return Flow::Normal;
   }
   X domain;
-  int var;
+  Local var;
   S body;
   SourceLocation loc;
 };
@@ -1543,7 +1799,7 @@ std::vector<std::vector<RectDomainVal>> cut_chunks(const std::vector<RectDomainV
 
 /// Reference semantics of a PipelinedLoop: the packet loop, sequentially.
 struct PipelinedNode final : SNode {
-  PipelinedNode(const PipelinedLoopStmt& s, X dom, int v, S b)
+  PipelinedNode(const PipelinedLoopStmt& s, X dom, Local v, S b)
       : loop(s), domain(std::move(dom)), var(v), body(std::move(b)) {}
   Flow run(Ctx& c) const override {
     if (c.m.hook && c.m.hook(loop, c.env ? *c.env : c.m.hook_env)) return Flow::Normal;
@@ -1554,17 +1810,23 @@ struct PipelinedNode final : SNode {
   }
   const PipelinedLoopStmt& loop;
   X domain;
-  int var;
+  Local var;
   S body;
 };
 
 struct ReturnNode final : SNode {
   explicit ReturnNode(X x) : value(std::move(x)) {}
   Flow run(Ctx& c) const override {
-    c.m.ret = value ? value->v(c) : Value{};
+    switch (rep) {
+      case Rep::Int: c.m.ret_s.i = value->i(c); break;
+      case Rep::Dbl: c.m.ret_s.d = value->d(c); break;
+      case Rep::Bool: c.m.ret_s.b = value->b(c); break;
+      case Rep::Val: c.m.ret = value ? value->v(c) : Value{}; break;
+    }
     return Flow::Return;
   }
   X value;  // may be null
+  Rep rep = Rep::Val;  // the enclosing method's ret_rep, set as its lowering ends
 };
 
 struct Jump final : SNode {
@@ -1588,12 +1850,12 @@ struct RaiseStmt final : SNode {
 
 class LoweredCode {
  public:
-  // Slot indices are the Env's; call-target caches are the Machine's.
+  // Slot indices are the Env's; call targets are the Machine's methods.
   const Interpreter::Machine* machine = nullptr;
   const Env* env = nullptr;
   std::vector<S> stmts;
   X expr;  // set when an expression was lowered
-  std::size_t frame_size = 0;
+  FrameSize frame;
   /// run(): a top-level return ends the program body.
   bool stop_at_return = false;
 };
@@ -1602,7 +1864,8 @@ namespace {
 
 /// Resolves every name to a slot once, in the dialect's lookup order:
 /// enclosing scopes, then (for code lowered against an Env) the Env's
-/// names, then runtime constants, then fields of the receiver.
+/// names, then runtime constants, then fields of the receiver. Each call
+/// binds to its target Method, which is lowered first.
 class Lowerer {
  public:
   Lowerer(Machine& m, Env* env, const ClassInfo* self)
@@ -1610,19 +1873,28 @@ class Lowerer {
     scopes_.emplace_back();
   }
 
-  int declare_local(const std::string& name, TypePtr type) {
-    const int slot = next_++;
-    scopes_.back()[name] = Binding{false, slot, std::move(type)};
-    return slot;
+  /// Declares a frame local in the innermost scope, unboxed when sema
+  /// typed it int, float or boolean.
+  Local declare_local(const std::string& name, const TypePtr& type) {
+    const Rep rep = rep_of(type);
+    const bool unboxed = numeric_rep(rep);
+    const int slot = unboxed ? scalars_++ : vals_++;
+    scopes_.back()[name] = Binding{unboxed ? Storage::Unboxed : Storage::Boxed, slot, type};
+    return Local{slot, rep};
   }
-  std::size_t frame_size() const { return static_cast<std::size_t>(next_); }
+  FrameSize frame_size() const {
+    return {static_cast<std::size_t>(vals_), static_cast<std::size_t>(scalars_)};
+  }
 
   S stmt(const Stmt& s);
   X expr(const Expr& e);
+  /// Ends the lowering of method body `body`: returns its Method::ret_rep
+  /// and sets each of its return nodes to leave the result there.
+  Rep finish_method(const BlockStmt& body);
 
  private:
   struct Binding {
-    bool named;  // an Env slot; else a local frame slot
+    Storage where;
     int slot;
     TypePtr type;
   };
@@ -1634,6 +1906,12 @@ class Lowerer {
     }
     return nullptr;
   }
+  /// The binding of `target` when it names an unboxed local.
+  const Binding* unboxed(const Expr& target) const {
+    if (target.kind != NodeKind::VarRef) return nullptr;
+    const Binding* b = find(static_cast<const VarRef&>(target).name);
+    return b && b->where == Storage::Unboxed ? b : nullptr;
+  }
   /// Lowers `s` inside a fresh scope.
   template <class F>
   auto scoped(F&& f) {
@@ -1642,9 +1920,17 @@ class Lowerer {
     scopes_.pop_back();
     return result;
   }
+  /// Lowers a loop body.
+  S loop_body(const Stmt& body) {
+    ++loops_;
+    S lowered = stmt(body);
+    --loops_;
+    return lowered;
+  }
   X var_ref(const VarRef& ref);
   P place(const Expr& target);
   X call(const CallExpr& call);
+  X intrinsic(const CallExpr& call);
   std::vector<X> exprs(const std::vector<ExprPtr>& list) {
     std::vector<X> out;
     out.reserve(list.size());
@@ -1662,15 +1948,27 @@ class Lowerer {
   Env* env_;
   const ClassInfo* self_;
   std::vector<std::unordered_map<std::string, Binding>> scopes_;
-  int next_ = 0;
+  int vals_ = 0;
+  int scalars_ = 0;
+  std::vector<ReturnNode*> returns_;
+  int loops_ = 0;            // loops enclosing the statement being lowered
+  bool stray_jump_ = false;  // a break or continue outside any loop
 };
 
 X Lowerer::var_ref(const VarRef& ref) {
   if (ref.name == "this") return std::make_unique<This>(ref.location);
   if (const Binding* b = find(ref.name)) {
-    if (b->named)
-      return std::make_unique<NamedRead>(b->slot, ref.name, rep_of(b->type), ref.location);
-    return std::make_unique<LocalRead>(b->slot, rep_of(b->type), ref.location);
+    const Rep rep = rep_of(b->type);
+    switch (b->where) {
+      case Storage::Named:
+        return std::make_unique<NamedRead>(b->slot, ref.name, rep, ref.location);
+      case Storage::Boxed:
+        return std::make_unique<LocalRead>(b->slot, rep, ref.location);
+      case Storage::Unboxed:
+        if (rep == Rep::Int) return std::make_unique<IntLocal>(b->slot, ref.location);
+        if (rep == Rep::Dbl) return std::make_unique<DblLocal>(b->slot, ref.location);
+        return std::make_unique<BoolLocal>(b->slot, ref.location);
+    }
   }
   if (env_ && !(ref.is_runtime_define && !env_->has(ref.name))) {
     return std::make_unique<NamedRead>(env_->index(ref.name), ref.name,
@@ -1691,13 +1989,16 @@ X Lowerer::var_ref(const VarRef& ref) {
   return std::make_unique<Raise>("undeclared variable '" + ref.name + "'", ref.location);
 }
 
+/// A boxed assignment target; unboxed locals are stored by their own nodes.
 P Lowerer::place(const Expr& target) {
   switch (target.kind) {
     case NodeKind::VarRef: {
       const std::string& name = static_cast<const VarRef&>(target).name;
       if (const Binding* b = find(name)) {
-        if (b->named) return std::make_unique<NamedPlace>(b->slot, name, target.location);
-        return std::make_unique<LocalPlace>(b->slot);
+        if (b->where == Storage::Named)
+          return std::make_unique<NamedPlace>(b->slot, name, target.location);
+        if (b->where == Storage::Boxed) return std::make_unique<LocalPlace>(b->slot);
+        return std::make_unique<RaisePlace>("invalid assignment target", target.location);
       }
       if (env_) return std::make_unique<NamedPlace>(env_->index(name), name, target.location);
       if (self_) {
@@ -1723,52 +2024,53 @@ P Lowerer::place(const Expr& target) {
   }
 }
 
+/// Binds the call to its target, which sema resolved: `resolved_class`
+/// declares it. A target still being lowered (recursion) has ret_rep Val,
+/// so the call lowers as an any-value call.
 X Lowerer::call(const CallExpr& call) {
+  if (call.is_intrinsic) return intrinsic(call);
   const SourceLocation loc = call.location;
-  if (call.is_intrinsic && call.base)
-    return std::make_unique<DomainAccessor>(expr(*call.base), call.callee, loc);
+  const ClassInfo* cls = m_.registry.find(call.resolved_class);
+  if (!cls) return std::make_unique<Raise>("unknown class '" + call.resolved_class + "'", SourceLocation{});
+  const MethodDecl* decl = cls->find_method(call.callee);
+  if (!decl || !decl->body) {
+    return std::make_unique<Raise>(
+        "no executable method '" + cls->name + "::" + call.callee + "'", SourceLocation{});
+  }
+  const Method& fn = m_.method(*cls, *decl);
+  if (fn.params.size() != call.args.size())
+    return std::make_unique<Raise>("arity mismatch calling '" + decl->name + "'", decl->location);
+  CallSite site{fn, nullptr, exprs(call.args)};
+  if (call.base) site.base = expr(*call.base);
+  switch (fn.ret_rep) {
+    case Rep::Int: return std::make_unique<CallInt>(std::move(site), loc);
+    case Rep::Dbl: return std::make_unique<CallDbl>(std::move(site), loc);
+    case Rep::Bool: return std::make_unique<CallBool>(std::move(site), loc);
+    default: return std::make_unique<CallVal>(std::move(site), loc);
+  }
+}
+
+X Lowerer::intrinsic(const CallExpr& call) {
+  const SourceLocation loc = call.location;
+  if (call.base) {
+    using Part = DomainAccessor::Part;
+    const std::string& name = call.callee;
+    if (name != "size" && name != "lo" && name != "hi")
+      return std::make_unique<Raise>("bad intrinsic receiver", loc);
+    const Part part = name == "size" ? Part::Size : name == "lo" ? Part::Lo : Part::Hi;
+    return std::make_unique<DomainAccessor>(expr(*call.base), part, loc);
+  }
+  const IntrinsicFn* fn = find_intrinsic(call.callee);
+  if (!fn) return std::make_unique<Raise>("unknown intrinsic '" + call.callee + "'", loc);
+  if (call.args.size() != fn->arity) {
+    return std::make_unique<Raise>("intrinsic '" + call.callee + "' takes " +
+                                       std::to_string(fn->arity) + " argument(s)",
+                                   loc);
+  }
   std::vector<X> args = exprs(call.args);
-  if (!call.is_intrinsic) {
-    return std::make_unique<MethodCall>(call.base ? expr(*call.base) : nullptr, call.callee,
-                                        call.resolved_class, std::move(args), loc);
-  }
-  bool numeric = true;
-  for (const X& x : args) numeric = numeric && numeric_rep(x->rep);
-  const std::string& name = call.callee;
-  if (numeric && args.size() == 1) {
-    using Fn = MathCall::Fn1;
-    Fn fn = nullptr;
-    double cost = 30.0 * kFloatOp;
-    if (name == "sqrt") {
-      fn = [](double x) { return std::sqrt(x); };
-      cost = 15.0 * kFloatOp;
-    } else if (name == "floor") {
-      fn = [](double x) { return std::floor(x); };
-      cost = 2.0 * kFloatOp;
-    } else if (name == "ceil") {
-      fn = [](double x) { return std::ceil(x); };
-      cost = 2.0 * kFloatOp;
-    } else if (name == "exp") {
-      fn = [](double x) { return std::exp(x); };
-    } else if (name == "log") {
-      fn = [](double x) { return std::log(x); };
-    } else if (name == "sin") {
-      fn = [](double x) { return std::sin(x); };
-    } else if (name == "cos") {
-      fn = [](double x) { return std::cos(x); };
-    }
-    if (fn) return std::make_unique<MathCall>(fn, nullptr, cost, std::move(args), loc);
-    if (name == "abs") return std::make_unique<MinMaxAbs>(name, std::move(args), loc);
-  }
-  if (numeric && args.size() == 2) {
-    MathCall::Fn2 fn = nullptr;
-    if (name == "pow") fn = [](double x, double y) { return std::pow(x, y); };
-    if (name == "atan2") fn = [](double x, double y) { return std::atan2(x, y); };
-    if (fn) return std::make_unique<MathCall>(nullptr, fn, 30.0 * kFloatOp, std::move(args), loc);
-    if (name == "min" || name == "max")
-      return std::make_unique<MinMaxAbs>(name, std::move(args), loc);
-  }
-  return std::make_unique<IntrinsicVal>(name, std::move(args), loc);
+  for (const X& x : args)
+    if (!numeric_rep(x->rep)) return std::make_unique<IntrinsicVal>(*fn, std::move(args), loc);
+  return std::make_unique<MathCall>(*fn, std::move(args), loc);
 }
 
 X Lowerer::expr(const Expr& e) {
@@ -1792,10 +2094,9 @@ X Lowerer::expr(const Expr& e) {
       if (const FieldInfo* field = static_field(*access.base, access.field))
         return std::make_unique<FieldRead>(std::move(base), field->index,
                                            rep_of(field->type), loc);
-      const bool length = access.field == "length" && access.base->type &&
-                          access.base->type->is_array();
-      return std::make_unique<FieldDyn>(std::move(base), access.field,
-                                        length ? Rep::Int : Rep::Val, loc);
+      if (access.field == "length" && access.base->type && access.base->type->is_array())
+        return std::make_unique<ArrayLength>(std::move(base), loc);
+      return std::make_unique<FieldDyn>(std::move(base), access.field, loc);
     }
     case NodeKind::Index: {
       const auto& index = static_cast<const IndexExpr&>(e);
@@ -1815,6 +2116,13 @@ X Lowerer::expr(const Expr& e) {
       if (unary.op == UnaryOp::Not) return std::make_unique<Not>(expr(*unary.operand), loc);
       const bool inc = unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PostInc;
       const bool pre = unary.op == UnaryOp::PreInc || unary.op == UnaryOp::PreDec;
+      if (const Binding* b = unboxed(*unary.operand)) {
+        switch (rep_of(b->type)) {
+          case Rep::Int: return std::make_unique<IncDecInt>(b->slot, inc, pre, loc);
+          case Rep::Dbl: return std::make_unique<IncDecDbl>(b->slot, inc, pre, loc);
+          default: return std::make_unique<Raise>("invalid assignment target", loc);
+        }
+      }
       const Rep rep = rep_of(unary.operand->type);
       return std::make_unique<IncDec>(place(*unary.operand), inc, pre,
                                       rep == Rep::Int || rep == Rep::Dbl ? rep : Rep::Val, loc);
@@ -1838,23 +2146,45 @@ X Lowerer::expr(const Expr& e) {
     case NodeKind::Assign: {
       const auto& assign = static_cast<const AssignExpr&>(e);
       X value = expr(*assign.value);
-      P target = place(*assign.target);
+      const bool numeric = value->rep == Rep::Int || value->rep == Rep::Dbl;
+      if (const Binding* b = unboxed(*assign.target)) {
+        const Rep rep = rep_of(b->type);
+        const Coerce co = coerce_kind(b->type);
+        if (rep == Rep::Int && numeric)
+          return std::make_unique<AssignInt<IntSlot>>(assign.op, IntSlot{b->slot},
+                                                      std::move(value), loc);
+        if (rep == Rep::Dbl && numeric)
+          return std::make_unique<AssignDbl<DblSlot>>(assign.op, DblSlot{b->slot},
+                                                      std::move(value), co, loc);
+        return std::make_unique<AssignScalarVal>(assign.op, b->slot, rep, co, std::move(value),
+                                                 loc);
+      }
+      BoxedSlot target{place(*assign.target)};
       const TypePtr& type = assign.target->type;
       const Rep rep = rep_of(type);
-      const bool numeric = value->rep == Rep::Int || value->rep == Rep::Dbl;
       if (rep == Rep::Int && numeric)
-        return std::make_unique<AssignInt>(assign.op, std::move(target), std::move(value), loc);
+        return std::make_unique<AssignInt<BoxedSlot>>(assign.op, std::move(target),
+                                                      std::move(value), loc);
       if (rep == Rep::Dbl && numeric)
-        return std::make_unique<AssignDbl>(assign.op, std::move(target), std::move(value),
-                                           coerce_kind(type), loc);
-      return std::make_unique<AssignVal>(assign.op, std::move(target), std::move(value), type,
-                                         loc);
+        return std::make_unique<AssignDbl<BoxedSlot>>(assign.op, std::move(target),
+                                                      std::move(value), coerce_kind(type), loc);
+      return std::make_unique<AssignVal>(assign.op, std::move(target.place), std::move(value),
+                                         type, loc);
     }
     case NodeKind::Call:
       return call(static_cast<const CallExpr&>(e));
     case NodeKind::NewObject: {
       const auto& alloc = static_cast<const NewObjectExpr&>(e);
-      return std::make_unique<NewObject>(alloc.class_name, exprs(alloc.args), loc);
+      const ClassInfo* cls = m_.registry.find(alloc.class_name);
+      if (!cls)
+        return std::make_unique<Raise>("unknown class '" + alloc.class_name + "'", SourceLocation{});
+      const MethodDecl* decl = cls->constructor();
+      const Method* ctor = decl && decl->body ? &m_.method(*cls, *decl) : nullptr;
+      if (!ctor && !alloc.args.empty())
+        return std::make_unique<Raise>("class '" + cls->name + "' has no constructor", SourceLocation{});
+      if (ctor && ctor->params.size() != alloc.args.size())
+        return std::make_unique<Raise>("arity mismatch calling '" + decl->name + "'", decl->location);
+      return std::make_unique<NewObject>(*cls, ctor, exprs(alloc.args), loc);
     }
     case NodeKind::NewArray: {
       const auto& alloc = static_cast<const NewArrayExpr&>(e);
@@ -1883,10 +2213,14 @@ S Lowerer::stmt(const Stmt& s) {
     case NodeKind::VarDeclStmt: {
       const auto& decl = static_cast<const VarDeclStmt&>(s);
       X init = decl.init ? expr(*decl.init) : nullptr;
-      const bool named = env_ && scopes_.size() == 1;
-      const int slot = named ? env_->index(decl.name) : next_++;
-      scopes_.back()[decl.name] = Binding{named, slot, decl.declared_type};
-      return std::make_unique<Decl>(named, slot, std::move(init), decl.declared_type);
+      if (env_ && scopes_.size() == 1) {
+        const int slot = env_->index(decl.name);
+        scopes_.back()[decl.name] = Binding{Storage::Named, slot, decl.declared_type};
+        return std::make_unique<Decl>(Storage::Named, slot, std::move(init), decl.declared_type);
+      }
+      const Local local = declare_local(decl.name, decl.declared_type);
+      return std::make_unique<Decl>(local.rep == Rep::Val ? Storage::Boxed : Storage::Unboxed,
+                                    local.slot, std::move(init), decl.declared_type);
     }
     case NodeKind::ExprStmt:
       return std::make_unique<ExprStmtNode>(expr(*static_cast<const ExprStmt&>(s).expr));
@@ -1908,7 +2242,7 @@ S Lowerer::stmt(const Stmt& s) {
     case NodeKind::WhileStmt: {
       const auto& loop = static_cast<const WhileStmt&>(s);
       X cond = expr(*loop.cond);
-      return std::make_unique<WhileNode>(std::move(cond), stmt(*loop.body));
+      return std::make_unique<WhileNode>(std::move(cond), loop_body(*loop.body));
     }
     case NodeKind::ForStmt: {
       const auto& loop = static_cast<const ForStmt&>(s);
@@ -1916,7 +2250,7 @@ S Lowerer::stmt(const Stmt& s) {
         S init = loop.init ? stmt(*loop.init) : nullptr;
         X cond = loop.cond ? expr(*loop.cond) : nullptr;
         X step = loop.step ? expr(*loop.step) : nullptr;
-        S body = stmt(*loop.body);
+        S body = loop_body(*loop.body);
         return std::make_unique<ForNode>(std::move(init), std::move(cond), std::move(step),
                                          std::move(body));
       });
@@ -1929,8 +2263,8 @@ S Lowerer::stmt(const Stmt& s) {
       if (domain.type && domain.type->is_rectdomain()) var_type = Type::primitive(PrimKind::Int);
       if (domain.type && domain.type->is_array()) var_type = domain.type->element();
       return scoped([&]() -> S {
-        const int var = declare_local(loop.var, var_type);
-        return std::make_unique<ForeachNode>(std::move(dom), var, stmt(*loop.body),
+        const Local var = declare_local(loop.var, var_type);
+        return std::make_unique<ForeachNode>(std::move(dom), var, loop_body(*loop.body),
                                              loop.location);
       });
     }
@@ -1938,38 +2272,56 @@ S Lowerer::stmt(const Stmt& s) {
       const auto& loop = static_cast<const PipelinedLoopStmt&>(s);
       X dom = expr(*loop.domain);
       return scoped([&]() -> S {
-        const int var = declare_local(loop.var, Type::primitive(PrimKind::Int));
-        return std::make_unique<PipelinedNode>(loop, std::move(dom), var, stmt(*loop.body));
+        const Local var = declare_local(loop.var, Type::primitive(PrimKind::Int));
+        return std::make_unique<PipelinedNode>(loop, std::move(dom), var, loop_body(*loop.body));
       });
     }
     case NodeKind::ReturnStmt: {
       const auto& ret = static_cast<const ReturnStmt&>(s);
-      return std::make_unique<ReturnNode>(ret.value ? expr(*ret.value) : nullptr);
+      auto node = std::make_unique<ReturnNode>(ret.value ? expr(*ret.value) : nullptr);
+      returns_.push_back(node.get());
+      return node;
     }
     case NodeKind::BreakStmt:
-      return std::make_unique<Jump>(Flow::Break);
     case NodeKind::ContinueStmt:
-      return std::make_unique<Jump>(Flow::Continue);
+      if (loops_ == 0) stray_jump_ = true;
+      return std::make_unique<Jump>(s.kind == NodeKind::BreakStmt ? Flow::Break : Flow::Continue);
     default:
       return std::make_unique<RaiseStmt>("unexpected statement node", s.location);
   }
 }
 
+/// Every return must carry one numeric representation, and no run may
+/// fall off the body's end: can_complete_normally rules that out unless a
+/// break or continue outside any loop ends a statement early.
+Rep Lowerer::finish_method(const BlockStmt& body) {
+  Rep rep = Rep::Val;
+  if (!returns_.empty() && !stray_jump_ && !can_complete_normally(body)) {
+    rep = returns_.front()->value ? returns_.front()->value->rep : Rep::Val;
+    for (const ReturnNode* r : returns_)
+      if (!r->value || r->value->rep != rep) rep = Rep::Val;
+  }
+  for (ReturnNode* r : returns_) r->rep = rep;
+  return rep;
+}
+
 }  // namespace
 
 Method& Interpreter::Machine::method(const ClassInfo& cls, const MethodDecl& decl) {
-  auto found = methods.find(&decl);
-  if (found != methods.end()) return *found->second;
-  auto fn = std::make_unique<Method>();
-  fn->decl = &decl;
+  std::unique_ptr<Method>& entry = methods[&decl];
+  if (entry) return *entry;
+  entry = std::make_unique<Method>();
+  Method& fn = *entry;
+  fn.decl = &decl;
   Lowerer lowerer(*this, nullptr, &cls);
   for (const auto& param : decl.params) {
-    lowerer.declare_local(param->name, param->type);
-    fn->params.push_back(coerce_kind(param->type));
+    const Local local = lowerer.declare_local(param->name, param->type);
+    fn.params.push_back(ParamSlot{local.slot, local.rep, coerce_kind(param->type)});
   }
-  for (const StmtPtr& s : decl.body->statements) fn->body.push_back(lowerer.stmt(*s));
-  fn->frame_size = lowerer.frame_size();
-  return *methods.emplace(&decl, std::move(fn)).first->second;
+  for (const StmtPtr& s : decl.body->statements) fn.body.push_back(lowerer.stmt(*s));
+  fn.frame = lowerer.frame_size();
+  fn.ret_rep = lowerer.finish_method(*decl.body);
+  return fn;
 }
 
 // ---------------------------------------------------------------------------
@@ -2000,7 +2352,7 @@ std::shared_ptr<LoweredCode> lower_stmts(Machine& m, const std::vector<const Stm
   code->env = &env;
   Lowerer lowerer(m, &env, nullptr);
   for (const Stmt* s : stmts) code->stmts.push_back(lowerer.stmt(*s));
-  code->frame_size = lowerer.frame_size();
+  code->frame = lowerer.frame_size();
   return code;
 }
 
@@ -2017,15 +2369,15 @@ std::shared_ptr<const LoweredCode> Interpreter::lower(const Expr& expr, Env& env
   code->env = &env;
   Lowerer lowerer(*m_, &env, nullptr);
   code->expr = lowerer.expr(expr);
-  code->frame_size = lowerer.frame_size();
+  code->frame = lowerer.frame_size();
   return code;
 }
 
 Value Interpreter::exec(const LoweredCode& code, Env& env) {
   if (code.machine != m_.get() || code.env != &env)
     throw std::logic_error("lowered code run by another interpreter or environment");
-  Frame frame(*m_, code.frame_size);
-  Ctx c{*m_, frame.data(), &env, &kNoSelf};
+  Frame frame(*m_, code.frame);
+  Ctx c{*m_, frame.vals(), frame.scalars(), &env, &kNoSelf};
   if (code.expr) return code.expr->v(c);
   for (const S& s : code.stmts)
     if (s->run(c) == Flow::Return && code.stop_at_return) break;
@@ -2047,10 +2399,11 @@ Value Interpreter::eval(const Expr& expr, Env& env) {
 void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
                                const std::vector<RectDomainVal>& ranges, int chunks,
                                std::size_t first_worker) {
-  // Each chunk runs its own lowered copy of the loop on its own Machine
-  // (chunk 0 on this interpreter's). All copies are lowered here, before
-  // any chunk starts: lowering adds Env slots, and lowered nodes cache
-  // call targets and class info.
+  // Each chunk runs its own lowered copy of the loop, and of the methods
+  // it calls, on its own Machine (chunk 0 on this interpreter's): a
+  // Machine's run-time state (ops, result registers, frames) is its own.
+  // All copies are lowered here, before any chunk starts, since lowering
+  // adds Env slots.
   struct Chunk {
     Chunk() = default;
     Chunk(const Chunk&) = delete;
@@ -2062,15 +2415,15 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
       machine = &m;
       Lowerer lowerer(m, &env, nullptr);
       code = lowerer.stmt(loop);
-      frame_size = lowerer.frame_size();
+      frame = lowerer.frame_size();
     }
     // Keeps the chunk's error instead of throwing it: an exception sent
     // through the future could be released last on the worker, which
     // ThreadSanitizer cannot order against the caller's use of it.
     void run(Env& env) {
       try {
-        Frame frame(*machine, frame_size);
-        Ctx c{*machine, frame.data(), &env, &kNoSelf};
+        Frame slots(*machine, frame);
+        Ctx c{*machine, slots.vals(), slots.scalars(), &env, &kNoSelf};
         run_chunk(c, static_cast<const ForeachNode&>(*code), ranges);
       } catch (...) {
         error = std::current_exception();
@@ -2079,7 +2432,7 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
     std::unique_ptr<Machine> owned;  // every chunk's but chunk 0's
     Machine* machine = nullptr;
     S code;
-    std::size_t frame_size = 0;
+    FrameSize frame;
     std::vector<RectDomainVal> ranges;
     std::exception_ptr error;
     std::future<void> done;
@@ -2089,8 +2442,8 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
   const auto& node = static_cast<const ForeachNode&>(*first.code);
   Value dom;
   {
-    Frame frame(*m_, first.frame_size);
-    Ctx c{*m_, frame.data(), &env, &kNoSelf};
+    Frame frame(*m_, first.frame);
+    Ctx c{*m_, frame.vals(), frame.scalars(), &env, &kNoSelf};
     dom = node.domain->v(c);
   }
   const auto* domain = std::get_if<RectDomainVal>(&dom);
@@ -2138,18 +2491,22 @@ Value Interpreter::call_method(const std::string& class_name,
                                const std::string& method_name,
                                const std::shared_ptr<Object>& receiver,
                                std::vector<Value> args) {
-  const Method& fn = m_->lookup(class_name, method_name);
-  Frame frame(*m_, args.size());
-  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = std::move(args[k]);
-  return run_method(*m_, fn, receiver, frame, args.size());
+  return run_method(*m_, m_->lookup(class_name, method_name), receiver, std::move(args));
 }
 
 std::shared_ptr<Object> Interpreter::construct(const std::string& class_name,
                                                std::vector<Value> args) {
   const ClassInfo& cls = m_->class_info(class_name);
-  Frame frame(*m_, args.size());
-  for (std::size_t k = 0; k < args.size(); ++k) frame.data()[k] = std::move(args[k]);
-  return construct_in(*m_, cls, default_fields(cls), frame, args.size());
+  auto obj = std::make_shared<Object>();
+  obj->class_name = cls.name;
+  obj->fields = default_fields(cls);
+  const MethodDecl* ctor = cls.constructor();
+  if (ctor && ctor->body) {
+    run_method(*m_, m_->method(cls, *ctor), obj, std::move(args));
+  } else if (!args.empty()) {
+    throw InterpError({}, "class '" + cls.name + "' has no constructor");
+  }
+  return obj;
 }
 
 Env Interpreter::run(const std::string& class_name, const std::string& method) {

@@ -1,10 +1,14 @@
 // Interpreter for the cgpipe dialect.
 //
 // Code is lowered once into a slot-resolved tree before it runs: names
-// become frame indices, fields become precomputed indices, runtime
-// constants are folded, and arithmetic on operands whose representation
-// sema fixes (int, float/double, boolean) runs unboxed, without variant
-// dispatch. Every evaluation step still charges the op counter with the
+// become frame indices, fields become precomputed indices, each method
+// call binds to its lowered target and each intrinsic to its operation,
+// runtime constants are folded, and arithmetic on operands whose
+// representation sema fixes (int, float/double, boolean) runs unboxed,
+// without variant dispatch. Locals and parameters of those types live in
+// unboxed frame slots, and a method whose returns all carry one such
+// representation hands its result back unboxed. Lowered nodes hold no
+// mutable state. Every evaluation step still charges the op counter with the
 // static cost model's weights, in the order of a plain AST walk, so
 // measured op counts are bit-identical to such a walk's.
 //

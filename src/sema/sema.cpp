@@ -139,7 +139,15 @@ void Sema::check_method(const ClassInfo& cls, MethodDecl& method) {
     resolve_declared_type(param->type, param->location);
     declare(param->name, param->type, param->location);
   }
-  if (method.body) check_stmt(*method.body);
+  if (method.body) {
+    check_stmt(*method.body);
+    const bool is_ctor = method.name == cls.name;
+    if (!is_ctor && !method.return_type->is_void() &&
+        can_complete_normally(*method.body)) {
+      diags_.error(method.location, "sema",
+                   "missing return statement in method '" + method.name + "'");
+    }
+  }
   pop_scope();
   current_method_ = nullptr;
 }

@@ -705,6 +705,238 @@ TEST(Interp, ExecForeachRethrowsTheLowestFailingIteration) {
   EXPECT_EQ(fill.run(1, {{301, 999}}, 4).error, tail.error);
 }
 
+// ---- typed calls and unboxed locals ---------------------------------------
+//
+// Expected ops, finals and error texts below are those of the evaluator
+// before calls were bound at lowering and locals unboxed; finals compare
+// by write_value bytes, so a value's representation counts too.
+
+std::vector<std::byte> value_bytes(const Value& v) {
+  dc::Buffer bytes;
+  write_value(bytes, v);
+  return {bytes.data(), bytes.data() + bytes.size()};
+}
+
+void expect_finals(const Env& env, const std::map<std::string, Value>& want) {
+  const std::map<std::string, Value> finals = env.flatten();
+  EXPECT_EQ(finals.size(), want.size());
+  for (const auto& [name, value] : want) {
+    auto it = finals.find(name);
+    ASSERT_NE(it, finals.end()) << name;
+    EXPECT_EQ(value_bytes(it->second), value_bytes(value)) << name;
+  }
+}
+
+/// Runs A::main of `source`, which must fail; returns the error's what().
+std::string run_error(std::string_view source, double& ops) {
+  Fixture f = prepare(source);
+  Interpreter interp(f.registry);
+  try {
+    interp.run("A", "main");
+  } catch (const InterpError& e) {
+    ops = interp.ops();
+    return e.what();
+  }
+  ADD_FAILURE() << "expected an InterpError";
+  return {};
+}
+
+Value int_value(std::int64_t i) { return Value{i}; }
+
+TEST(Interp, TypedCallMixedReturnsStayAnyValue) {
+  // `half` returns an int on one path and a double on the other, so its
+  // calls stay any-value: `/ 2` divides as the value returned says.
+  Fixture f = prepare(R"(
+class A {
+  double half(int k) { if (k == 0) { return 1; } return 2.5; }
+  void main() {
+    double a = half(0) / 2;
+    double b = half(1) / 2;
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 30.0);
+  expect_finals(env, {{"a", Value{0.0}}, {"b", Value{1.25}}});
+}
+
+TEST(Interp, TypedCallFloatParameterRoundsArgument) {
+  Fixture f = prepare(R"(
+class A {
+  double id(float x) { return x; }
+  void main() {
+    double a = id(0.1);
+    double b = id(16777217);
+    double delta = a - 0.1;
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 10.5);
+  const double rounded = static_cast<double>(0.1f);
+  expect_finals(env, {{"a", Value{rounded}},
+                      {"b", Value{16777216.0}},
+                      {"delta", Value{rounded - 0.1}}});
+}
+
+TEST(Interp, TypedCallIntParameterTruncates) {
+  Fixture f = prepare(R"(
+class A {
+  int trunc(int x) { return x; }
+  void main() {
+    int a = trunc(2.9);
+    int b = trunc(-2.9);
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 9.0);
+  expect_finals(env, {{"a", int_value(2)}, {"b", int_value(-2)}});
+}
+
+TEST(Interp, TypedCallRecursion) {
+  Fixture f = prepare(R"(
+class A {
+  int fact(int n) {
+    if (n <= 1) { return 1; }
+    return n * fact(n - 1);
+  }
+  void main() { int f = fact(10); }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 59.5);
+  expect_finals(env, {{"f", int_value(3628800)}});
+}
+
+TEST(Interp, TypedCallNestedInTypedCallArguments) {
+  Fixture f = prepare(R"(
+class A {
+  int add(int a, int b) { return a + b; }
+  double scale(double x, int k) { return x * k; }
+  void main() {
+    int r = add(add(1, 2), add(3, add(4, 5)));
+    double s = scale(add(1, 2), add(3, 4));
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 25.0);
+  expect_finals(env, {{"r", int_value(15)}, {"s", Value{21.0}}});
+}
+
+TEST(Interp, UnboxedLocalsIncDecAndCompoundAssignment) {
+  // The block's locals are frame locals, unboxed; main's are Env names.
+  Fixture f = prepare(R"(
+class A {
+  void main() {
+    int a = 0; int b = 0; int c = 0; int d = 0; double x = 0.0; int s = 0; double y = 0.0;
+    {
+      int i = 5;
+      a = i++; b = ++i; c = i--; d = --i;
+      double f = 1.5;
+      f++; ++f; f--;
+      x = f;
+      int t = 1;
+      t += 7; t -= 2; t *= 3; t /= 4;
+      s = t;
+      double g = 2.0;
+      g += 1; g *= 2.5; g /= 4;
+      y = g;
+    }
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 65.0);
+  expect_finals(env, {{"a", int_value(5)},
+                      {"b", int_value(7)},
+                      {"c", int_value(7)},
+                      {"d", int_value(5)},
+                      {"s", int_value(4)},
+                      {"x", Value{2.5}},
+                      {"y", Value{1.875}}});
+}
+
+TEST(Interp, UnboxedLocalDivAssignByZero) {
+  double ops = 0.0;
+  EXPECT_EQ(run_error(R"(
+class A {
+  int f(int z) {
+    int t = 9;
+    t /= z;
+    return t;
+  }
+  void main() { int r = f(0); }
+})",
+                      ops),
+            "5:7: integer division by zero");
+  EXPECT_EQ(ops, 6.0);
+}
+
+TEST(Interp, MinMaxAbsOnIntDoubleAndMixedArguments) {
+  // `pick` is an any-value call, so h, i, j and k take the boxed path.
+  Fixture f = prepare(R"(
+class A {
+  double pick(int k) { if (k == 0) { return 3; } return -4.5; }
+  void main() {
+    int a = min(3, 7); int b = max(3, 7); int c = abs(-4);
+    double d = min(2.5, 1.5); double e = max(2, 1.5); double f = abs(-2.5);
+    double g = min(1, 2.5);
+    double h = max(pick(0), 2); double i = abs(pick(1)); double j = min(pick(0), 2.5);
+    int k = abs(pick(0));
+  }
+})");
+  Interpreter interp(f.registry);
+  Env env = interp.run("A", "main");
+  EXPECT_EQ(interp.ops(), 81.5);
+  expect_finals(env, {{"a", int_value(3)},
+                      {"b", int_value(7)},
+                      {"c", int_value(4)},
+                      {"d", Value{1.5}},
+                      {"e", Value{2.0}},
+                      {"f", Value{2.5}},
+                      {"g", Value{1.0}},
+                      {"h", Value{3.0}},
+                      {"i", Value{4.5}},
+                      {"j", Value{2.5}},
+                      {"k", int_value(3)}});
+}
+
+TEST(Interp, TypedCallNullReceiver) {
+  double ops = 0.0;
+  EXPECT_EQ(run_error(R"(
+class B { int v; int get() { return v; } }
+class A {
+  int outer(B b) { return b.get(); }
+  void main() {
+    B b = null;
+    int r = outer(b);
+  }
+})",
+                      ops),
+            "4:27: method call on null/non-object");
+  EXPECT_EQ(ops, 3.5);
+}
+
+TEST(Interp, TypedCallDepthLimit) {
+  // f calls g through a typed call; g's call back to f was lowered while
+  // f still was, so it is an any-value call.
+  double ops = 0.0;
+  EXPECT_EQ(run_error(R"(
+class A {
+  int f(int n) { return g(n + 1); }
+  int g(int n) {
+    int r = f(n);
+    return r;
+  }
+  void main() { int r = f(0); }
+})",
+                      ops),
+            "3:8: call depth limit exceeded");
+  EXPECT_EQ(ops, 640.0);
+}
+
 TEST(Interp, ShortCircuitEvaluation) {
   Fixture f = prepare(R"(
     class A {

@@ -267,6 +267,44 @@ TEST(Sema, ForeachCountAssigned) {
   EXPECT_EQ(run.result.foreach_count, 2);
 }
 
+TEST(Sema, MissingReturnRejectedWithLocation) {
+  // A non-void method whose body can complete normally.
+  const std::vector<std::string> bodies = {
+      "{ }",
+      "{ if (x > 0) { return 1; } }",
+      "{ if (x > 0) { return 1; } else { x = 2; } }",
+      "{ while (x > 0) { return 1; } }",
+      "{ for (int i = 0; i < x; i++) { return i; } }",
+      "{ foreach (i in [0 : x]) { return i; } }",
+      "{ { return 1; } x = 2; }",
+  };
+  for (const std::string& body : bodies) {
+    SemaRun run = run_sema("class A { int f(int x) " + body + " }");
+    EXPECT_TRUE(run.had_errors) << body;
+    EXPECT_NE(run.diagnostics.find(
+                  "1:16: error [sema] missing return statement in method 'f'"),
+              std::string::npos)
+        << body << "\n"
+        << run.diagnostics;
+  }
+}
+
+TEST(Sema, MissingReturnAcceptsBodiesThatCannotCompleteNormally) {
+  SemaRun run = run_sema(R"(
+    class A {
+      int a(int x) { return x; }
+      int b(int x) { if (x > 0) { return 1; } return 2; }
+      int c(int x) { if (x > 0) { return 1; } else { return 2; } }
+      int d(int x) { if (x > 0) return 1; else if (x < 0) return -1; else return 0; }
+      double e(int x) { while (x > 0) { x = x - 1; } { return x; } }
+      A() { }
+      void f(int x) { if (x > 0) { return; } }
+      void g() { }
+    }
+  )");
+  EXPECT_FALSE(run.had_errors) << run.diagnostics;
+}
+
 TEST(Sema, AllAppSourcesTypeCheck) {
   // The four paper applications plus the tutorial must be clean.
   // (Sources are exercised end-to-end elsewhere; this isolates sema.)
