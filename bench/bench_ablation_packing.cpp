@@ -50,18 +50,16 @@ ClassRegistry make_registry() {
   return registry;
 }
 
-std::shared_ptr<ArrayVal> make_elements(const ClassRegistry& registry, int n) {
-  auto arr = std::make_shared<ArrayVal>();
+ArrayRef make_elements(const ClassRegistry& registry, int n) {
+  ArrayRef arr = ArrayVal::make();
   const ClassInfo* info = registry.find("Tri");
   for (int i = 0; i < n; ++i) {
-    auto obj = std::make_shared<Object>();
-    obj->class_name = "Tri";
-    obj->fields.resize(info->fields.size());
-    for (std::size_t f = 0; f < obj->fields.size(); ++f) {
-      obj->fields[f] = Value{static_cast<double>(static_cast<float>(
+    std::vector<Value> fields(info->fields.size());
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      fields[f] = Value{static_cast<double>(static_cast<float>(
           i * 10 + static_cast<int>(f)))};
     }
-    arr->elems.push_back(obj);
+    arr->elems.push_back(Object::make(intern_class("Tri"), fields));
   }
   return arr;
 }

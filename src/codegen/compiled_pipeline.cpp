@@ -184,12 +184,12 @@ std::optional<Value> lookup_path(Env& env, const ClassRegistry& registry,
   if (!env.has(base)) return std::nullopt;
   Value current = env.get(base);
   for (const std::string& step : steps) {
-    auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
+    auto* obj = std::get_if<ObjectRef>(&current);
     if (!obj || !*obj) return std::nullopt;
-    const ClassInfo* cls = registry.find((*obj)->class_name);
+    const ClassInfo* cls = registry.find((*obj)->class_name());
     const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
     if (!field) return std::nullopt;
-    current = (*obj)->fields[static_cast<std::size_t>(field->index)];
+    current = (*obj)->field(static_cast<std::size_t>(field->index));
   }
   return current;
 }
@@ -205,7 +205,7 @@ SymbolResolver packet_resolver(const PipelineModel& model, Env& env,
       std::string path = sym.substr(4, sym.size() - 5);
       std::optional<Value> v = lookup_path(env, model.registry, path);
       if (!v) return std::nullopt;
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
+      if (auto* arr = std::get_if<ArrayRef>(&*v)) {
         if (!*arr) return std::nullopt;
         return (*arr)->base_index +
                static_cast<std::int64_t>((*arr)->elems.size());
@@ -266,8 +266,9 @@ std::optional<std::vector<RectDomainVal>> source_fill_ranges(
     const PipelineModel& model, const SetupFill& fill, Interpreter& interp,
     Env& env, int copy_index, int copy_count) {
   const Value domain = interp.eval(*model.loop->domain, env);
-  const auto* packets = std::get_if<RectDomainVal>(&domain);
-  if (!packets) return std::nullopt;
+  const auto* dom = std::get_if<DomainRef>(&domain);
+  if (!dom || !*dom) return std::nullopt;
+  const RectDomainVal* packets = &(*dom)->value;
   std::vector<RectDomainVal> ranges;
   for (std::int64_t p = packets->lo; p <= packets->hi; ++p) {
     if (!owns_packet(p, packets->lo, copy_index, copy_count)) continue;
@@ -348,6 +349,7 @@ class StageFilter : public dc::Filter {
   void emit_packet(dc::FilterContext& ctx, Env& env,
                    const std::vector<PackedView>* views = nullptr);
   void handle_replica_buffer(dc::Buffer& in, dc::FilterContext& ctx);
+  void release_fills();
 
   const PipelineModel& model_;
   const StagePlan& plan_;
@@ -366,6 +368,14 @@ class StageFilter : public dc::Filter {
     std::shared_ptr<const LoweredCode> length;  // null unless a new-array decl
   };
   std::vector<Materialization> materialize_;
+  /// A partitioned fill this source copy ran: its array, the cut
+  /// exec_foreach ran it in and the worker of the cut's chunk 1.
+  struct Fill {
+    std::string array;
+    ForeachCut cut;
+    std::size_t first_worker;
+  };
+  std::vector<Fill> fills_;
   RectDomainVal packet_domain_;
   std::int64_t current_packet_ = 0;
   std::vector<std::string> replica_names_;  // owned replicas in decl order
@@ -405,14 +415,16 @@ void StageFilter::init(dc::FilterContext& ctx) {
       next = at + 1;
       const auto share = source_fill_ranges(
           model_, *fill, interp_, env_, ctx.copy_index(), ctx.copy_count());
-      interp_.exec_foreach(
-          *fill->loop, env_, share ? *share : whole, chunks,
-          static_cast<std::size_t>(ctx.copy_index() * (chunks - 1)));
+      const auto first_worker = static_cast<std::size_t>(ctx.copy_index() * (chunks - 1));
+      fills_.push_back(Fill{fill->array,
+                            interp_.exec_foreach(*fill->loop, env_, share ? *share : whole,
+                                                 chunks, first_worker),
+                            first_worker});
     }
     interp_.exec_stmts({next, before.end()}, env_);
     const Value dom = interp_.eval(*model_.loop->domain, env_);
-    if (const auto* d = std::get_if<RectDomainVal>(&dom)) {
-      packet_domain_ = *d;
+    if (const auto* d = std::get_if<DomainRef>(&dom); d && *d) {
+      packet_domain_ = (*d)->value;
     } else {
       throw std::runtime_error("PipelinedLoop domain is not a rectdomain");
     }
@@ -504,9 +516,9 @@ void StageFilter::handle_replica_buffer(dc::Buffer& in,
   for (auto& [name, value] : incoming) {
     if (env_.has(name)) {
       Value& mine = env_.slot(name);
-      auto* obj = std::get_if<std::shared_ptr<Object>>(&mine);
+      auto* obj = std::get_if<ObjectRef>(&mine);
       if (obj && *obj) {
-        interp_.call_method((*obj)->class_name, "merge", *obj, {value});
+        interp_.call_method((*obj)->class_name(), "merge", *obj, {value});
         continue;
       }
       mine = std::move(value);
@@ -538,6 +550,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
       ++packets_seen_;
     }
     packet_ops_ = interp_.ops() - replica_ops_;
+    release_fills();
     return;
   }
 
@@ -611,7 +624,7 @@ void StageFilter::process(dc::FilterContext& ctx) {
       }
       if (!m.length) continue;
       Value& bound = env_.slot(m.decl->name);
-      auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bound);
+      auto* arr = std::get_if<ArrayRef>(&bound);
       if (!arr || !*arr || (*arr)->base_index != 0) continue;
       const std::int64_t want = as_int(interp_.exec(*m.length, env_));
       if (static_cast<std::int64_t>((*arr)->elems.size()) < want) {
@@ -641,6 +654,14 @@ void StageFilter::process(dc::FilterContext& ctx) {
     env_.pop();
   }
   packet_ops_ = interp_.ops() - replica_ops_;
+}
+
+/// Frees each fill's array once the copy's last packet is out, on the
+/// threads that filled it (release_fill).
+void StageFilter::release_fills() {
+  for (const Fill& fill : fills_)
+    if (env_.has(fill.array)) release_fill(env_.slot(fill.array), fill.cut, fill.first_worker);
+  fills_.clear();
 }
 
 void StageFilter::finalize(dc::FilterContext& ctx) {

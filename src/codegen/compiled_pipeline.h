@@ -6,7 +6,8 @@
 //     round-robin share of packets, executes its atomic filters, packs the
 //     boundary's ReqComm per the §5 layout, and emits. A dataset fill the
 //     compiler partitions (DESIGN.md §6.13) synthesizes only the elements
-//     that copy's own packets read;
+//     that copy's own packets read, and is freed after its last packet on
+//     the workers that filled it (DESIGN.md §6.14);
 //   * middle stages: unpack -> execute -> pack -> emit (or pure relay when
 //     no atomic filter is placed on the stage);
 //   * last stage (view): unpack -> execute; at end of stream it merges the

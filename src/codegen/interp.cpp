@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <future>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -45,15 +46,18 @@ std::string value_to_string(const Value& v) {
       return out.str();
     }
     std::string operator()(bool b) const { return b ? "true" : "false"; }
-    std::string operator()(const std::string& s) const { return '"' + s + '"'; }
-    std::string operator()(const std::shared_ptr<Object>& o) const {
-      return o ? "<" + o->class_name + ">" : "null";
+    std::string operator()(const StringRef& s) const {
+      return s ? '"' + s->value + '"' : "null";
     }
-    std::string operator()(const std::shared_ptr<ArrayVal>& a) const {
+    std::string operator()(const ObjectRef& o) const {
+      return o ? "<" + o->class_name() + ">" : "null";
+    }
+    std::string operator()(const ArrayRef& a) const {
       return a ? "<array[" + std::to_string(a->elems.size()) + "]>" : "null";
     }
-    std::string operator()(const RectDomainVal& d) const {
-      return "[" + std::to_string(d.lo) + ":" + std::to_string(d.hi) + "]";
+    std::string operator()(const DomainRef& d) const {
+      if (!d) return "null";
+      return "[" + std::to_string(d->value.lo) + ":" + std::to_string(d->value.hi) + "]";
     }
   };
   return std::visit(Visitor{}, v);
@@ -429,10 +433,10 @@ struct Ctx {
   std::span<Value> fp;   // boxed local slots of the running frame
   std::span<Scalar> sp;  // unboxed local slots of the running frame
   Env* env;              // named slots; null inside method bodies
-  const std::shared_ptr<Object>* self;  // receiver (possibly null)
+  const ObjectRef* self;  // receiver (possibly null)
 };
 
-const std::shared_ptr<Object> kNoSelf;
+const ObjectRef kNoSelf;
 
 /// One level of the frame stack. Its Value slots are cleared on exit, so
 /// the references they held are released when the call or run that owned
@@ -467,8 +471,7 @@ class Frame {
 
 /// Runs a lowered method on a frame whose parameter slots hold the
 /// arguments; the result is left where fn.ret_rep says.
-void enter(Machine& m, const Method& fn, const std::shared_ptr<Object>& self,
-           const Frame& frame) {
+void enter(Machine& m, const Method& fn, const ObjectRef& self, const Frame& frame) {
   if (++m.call_depth > kMaxCallDepth) {
     --m.call_depth;
     throw InterpError(fn.decl->location, "call depth limit exceeded");
@@ -493,7 +496,7 @@ Value take_result(Machine& m, Rep ret_rep) {
 
 /// Calls `fn` with boxed arguments (the Interpreter's API entry points),
 /// coercing each as a boxed store of its parameter's type would.
-Value run_method(Machine& m, const Method& fn, const std::shared_ptr<Object>& self,
+Value run_method(Machine& m, const Method& fn, const ObjectRef& self,
                  std::vector<Value> args) {
   const MethodDecl& decl = *fn.decl;
   if (fn.params.size() != args.size())
@@ -510,14 +513,6 @@ Value run_method(Machine& m, const Method& fn, const std::shared_ptr<Object>& se
   }
   enter(m, fn, self, frame);
   return take_result(m, fn.ret_rep);
-}
-
-std::vector<Value> default_fields(const ClassInfo& cls) {
-  std::vector<Value> fields;
-  fields.reserve(cls.fields.size());
-  for (const FieldInfo& field : cls.fields)
-    fields.push_back(Interpreter::default_value(field.type));
-  return fields;
 }
 
 void discard(const XNode& x, Ctx& c) {
@@ -628,7 +623,7 @@ struct ThisField final : Stored<ThisField> {
     Object* self = c.self->get();
     if (!self) throw InterpError(loc, "undeclared variable '" + name + "'");
     c.m.ops += kMemOp;
-    return self->fields[static_cast<std::size_t>(field)];
+    return self->field(static_cast<std::size_t>(field));
   }
   int field;
   std::string name;
@@ -662,9 +657,9 @@ struct FieldRead final : Stored<FieldRead> {
   decltype(auto) visit(Ctx& c, F&& f) const {
     return with_base(*base, base->has_ref, c, [&](const Value& bv) -> decltype(auto) {
       c.m.ops += kMemOp;
-      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+      const auto* obj = std::get_if<ObjectRef>(&bv);
       if (!obj || !*obj) throw InterpError(loc, "field access on null/non-object");
-      return f((*obj)->fields[static_cast<std::size_t>(field)]);
+      return f((*obj)->field(static_cast<std::size_t>(field)));
     });
   }
   // Stored's accessors go through at(); with a temporary base they must
@@ -690,7 +685,7 @@ struct ArrayLength final : IntX {
   std::int64_t i(Ctx& c) const override {
     return with_base(*base, base->has_ref, c, [&](const Value& bv) -> std::int64_t {
       c.m.ops += kMemOp;
-      const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv);
+      const auto* arr = std::get_if<ArrayRef>(&bv);
       if (!arr) throw InterpError(loc, "field access on null/non-object");
       if (!*arr) throw InterpError(loc, "field access on null array");
       return static_cast<std::int64_t>((*arr)->elems.size());
@@ -709,18 +704,18 @@ struct FieldDyn final : XNode {
   Value v(Ctx& c) const override {
     return with_base(*base, base->has_ref, c, [&](const Value& bv) -> Value {
       c.m.ops += kMemOp;
-      if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv)) {
+      if (const auto* arr = std::get_if<ArrayRef>(&bv)) {
         if (!*arr) throw InterpError(loc, "field access on null array");
         if (length) return static_cast<std::int64_t>((*arr)->elems.size());
         throw InterpError(loc, "arrays only have 'length'");
       }
-      const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+      const auto* obj = std::get_if<ObjectRef>(&bv);
       if (!obj || !*obj) throw InterpError(loc, "field access on null/non-object");
-      const ClassInfo& cls = c.m.class_info((*obj)->class_name);
+      const ClassInfo& cls = c.m.class_info((*obj)->class_name());
       const FieldInfo* info = cls.find_field(field);
       if (!info)
         throw InterpError(loc, "no field '" + field + "' in '" + cls.name + "'");
-      return (*obj)->fields[static_cast<std::size_t>(info->index)];
+      return (*obj)->field(static_cast<std::size_t>(info->index));
     });
   }
   X base;
@@ -739,7 +734,7 @@ struct IndexRead final : Stored<IndexRead> {
     // A raw view of the base is safe only when the index cannot store
     // over the slot holding the array.
     return with_base(*base, has_ref, c, [&](const Value& bv) -> decltype(auto) {
-      const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&bv);
+      const auto* arr = std::get_if<ArrayRef>(&bv);
       if (!arr || !*arr) throw InterpError(loc, "indexing null/non-array");
       const ArrayVal& a = **arr;
       const std::int64_t ix = index->i(c);
@@ -996,12 +991,11 @@ struct BinaryVal final : XNode {
     const Value b = rhs->v(c);
     // Reference equality.
     if ((op == BinaryOp::Eq || op == BinaryOp::Ne) &&
-        (std::holds_alternative<std::shared_ptr<Object>>(a) ||
-         std::holds_alternative<std::shared_ptr<Object>>(b) || is_null(a) ||
-         is_null(b))) {
+        (std::holds_alternative<ObjectRef>(a) || std::holds_alternative<ObjectRef>(b) ||
+         is_null(a) || is_null(b))) {
       c.m.ops += kIntOp;
-      const auto* ao = std::get_if<std::shared_ptr<Object>>(&a);
-      const auto* bo = std::get_if<std::shared_ptr<Object>>(&b);
+      const auto* ao = std::get_if<ObjectRef>(&a);
+      const auto* bo = std::get_if<ObjectRef>(&b);
       bool equal = (ao ? ao->get() : nullptr) == (bo ? bo->get() : nullptr) &&
                    is_null(a) == is_null(b);
       if (is_null(a) && is_null(b)) equal = true;
@@ -1067,7 +1061,7 @@ struct ThisFieldPlace final : Place {
   Value* addr(Ctx& c, Value&) const override {
     Object* self = c.self->get();
     if (!self) throw InterpError(loc, "undeclared variable '" + name + "'");
-    return &self->fields[static_cast<std::size_t>(field)];
+    return &self->field(static_cast<std::size_t>(field));
   }
   int field;
   std::string name;
@@ -1081,17 +1075,17 @@ struct FieldPlace final : Place {
       : base(std::move(b)), field(f), name(std::move(n)), loc(l) {}
   Value* addr(Ctx& c, Value& keep) const override {
     const Value* bv = base->has_ref ? base->ref(c) : &(keep = base->v(c));
-    const auto* obj = std::get_if<std::shared_ptr<Object>>(bv);
+    const auto* obj = std::get_if<ObjectRef>(bv);
     if (!obj || !*obj) throw InterpError(loc, "field store on null/non-object value");
     int index = field;
     if (index < 0) {
-      const ClassInfo& cls = c.m.class_info((*obj)->class_name);
+      const ClassInfo& cls = c.m.class_info((*obj)->class_name());
       const FieldInfo* info = cls.find_field(name);
       if (!info)
         throw InterpError(loc, "no field '" + name + "' in '" + cls.name + "'");
       index = info->index;
     }
-    return &(*obj)->fields[static_cast<std::size_t>(index)];
+    return &(*obj)->field(static_cast<std::size_t>(index));
   }
   X base;
   int field;
@@ -1103,7 +1097,7 @@ struct IndexPlace final : Place {
   IndexPlace(X b, X ix, SourceLocation l) : base(std::move(b)), index(std::move(ix)), loc(l) {}
   Value* addr(Ctx& c, Value& keep) const override {
     const Value* bv = base->has_ref && index->pure ? base->ref(c) : &(keep = base->v(c));
-    const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(bv);
+    const auto* arr = std::get_if<ArrayRef>(bv);
     if (!arr || !*arr) throw InterpError(loc, "index store on null/non-array");
     ArrayVal& a = **arr;
     const std::int64_t ix = index->i(c);
@@ -1366,7 +1360,7 @@ struct CallSite {
     pass_args(c, args, fn, frame);
     if (!base) return enter(c.m, fn, *c.self, frame);
     const Value bv = base->v(c);
-    const auto* obj = std::get_if<std::shared_ptr<Object>>(&bv);
+    const auto* obj = std::get_if<ObjectRef>(&bv);
     if (!obj || !*obj) throw InterpError(loc, "method call on null/non-object");
     enter(c.m, fn, *obj, frame);
   }
@@ -1418,12 +1412,13 @@ struct DomainAccessor final : IntX {
   }
   std::int64_t i(Ctx& c) const override {
     const Value bv = base->v(c);
-    const auto* dom = std::get_if<RectDomainVal>(&bv);
-    if (!dom) throw InterpError(loc, "bad intrinsic receiver");
+    const auto* dom = std::get_if<DomainRef>(&bv);
+    if (!dom || !*dom) throw InterpError(loc, "bad intrinsic receiver");
+    const RectDomainVal& range = (*dom)->value;
     switch (part) {
-      case Part::Size: return dom->size();
-      case Part::Lo: return dom->lo;
-      default: return dom->hi;
+      case Part::Size: return range.size();
+      case Part::Lo: return range.lo;
+      default: return range.hi;
     }
   }
   X base;
@@ -1533,22 +1528,21 @@ struct IntrinsicVal final : XNode {
   std::vector<X> args;
 };
 
-/// `new C(args)`: the class, its default fields and its constructor are
-/// resolved at lowering.
+/// `new C(args)`: the class, interned, its default fields and its
+/// constructor are resolved at lowering.
 struct NewObject final : XNode {
   NewObject(const ClassInfo& cls, const Method* c, std::vector<X> a, SourceLocation l)
-      : XNode(Rep::Val, l), info(cls), ctor(c), fields(default_fields(cls)), args(std::move(a)) {}
+      : XNode(Rep::Val, l), name(intern_class(cls.name)), ctor(c),
+        fields(Interpreter::default_fields(cls)), args(std::move(a)) {}
   Value v(Ctx& c) const override {
     Frame frame(c.m, ctor ? ctor->frame : FrameSize{});
     if (ctor) pass_args(c, args, *ctor, frame);
     c.m.ops += 4.0 * kMemOp;
-    auto obj = std::make_shared<Object>();
-    obj->class_name = info.name;
-    obj->fields = fields;
+    ObjectRef obj = Object::make(name, fields);
     if (ctor) enter(c.m, *ctor, obj, frame);
     return obj;
   }
-  const ClassInfo& info;
+  ClassName name;
   const Method* ctor;         // null: nothing to run, and no arguments
   std::vector<Value> fields;  // default field values, copied per object
   std::vector<X> args;
@@ -1561,8 +1555,7 @@ struct NewArray final : XNode {
   Value v(Ctx& c) const override {
     const std::int64_t n = length->i(c);
     if (n < 0) throw InterpError(loc, "negative array length");
-    auto arr = std::make_shared<ArrayVal>();
-    arr->element_type = element_type;
+    ArrayRef arr = ArrayVal::make(element_type);
     arr->elems.assign(static_cast<std::size_t>(n), fill);
     c.m.ops += 4.0 * kMemOp + 0.25 * static_cast<double>(n);
     return arr;
@@ -1579,13 +1572,31 @@ struct RectdomainNode final : XNode {
   }
   Value v(Ctx& c) const override {
     if (!lo) throw InterpError(loc, "only rank-1 rectdomains are executable");
-    RectDomainVal dom;
-    dom.lo = lo->i(c);
-    dom.hi = hi->i(c);
-    return dom;
+    const std::int64_t first = lo->i(c);
+    return make_box(RectDomainVal{first, hi->i(c)});
   }
   X lo;  // null for rank != 1
   X hi;
+};
+
+/// The domain of a foreach or of the packet loop. A rank-1 literal
+/// `[lo : hi]` yields its two bounds without building a Value; any other
+/// expression yields its value: a stored rectdomain or an array.
+struct LoopDomain {
+  X lo, hi;  // set for a rank-1 literal
+  X value;   // set otherwise
+  SourceLocation loc;
+  /// The domain's bounds when it is a rectdomain; otherwise null, and
+  /// `out` holds the value.
+  std::optional<RectDomainVal> range(Ctx& c, Value& out) const {
+    if (lo) {
+      const std::int64_t first = lo->i(c);
+      return RectDomainVal{first, hi->i(c)};
+    }
+    out = value->v(c);
+    if (const auto* dom = std::get_if<DomainRef>(&out); dom && *dom) return (*dom)->value;
+    return std::nullopt;
+  }
 };
 
 // ---- statements ----------------------------------------------------------------
@@ -1740,12 +1751,13 @@ Flow count_loop(Ctx& c, std::int64_t lo, std::int64_t hi, Local var,
 }
 
 struct ForeachNode final : SNode {
-  ForeachNode(X dom, Local v, S s, SourceLocation l) : domain(std::move(dom)), var(v), body(std::move(s)), loc(l) {}
+  ForeachNode(LoopDomain dom, Local v, S s, SourceLocation l)
+      : domain(std::move(dom)), var(v), body(std::move(s)), loc(l) {}
   Flow run(Ctx& c) const override {
-    const Value dom = domain->v(c);
-    if (const auto* range = std::get_if<RectDomainVal>(&dom))
+    Value dom;
+    if (const auto range = domain.range(c, dom))
       return count_loop(c, range->lo, range->hi, var, *body, kBranchOp + kMemOp);
-    const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&dom);
+    const auto* arr = std::get_if<ArrayRef>(&dom);
     if (!arr) throw InterpError(loc, "foreach domain is neither rectdomain nor array");
     if (!*arr) throw InterpError(loc, "foreach over null array");
     for (const Value& elem : (*arr)->elems) {
@@ -1757,7 +1769,7 @@ struct ForeachNode final : SNode {
     }
     return Flow::Normal;
   }
-  X domain;
+  LoopDomain domain;
   Local var;
   S body;
   SourceLocation loc;
@@ -1799,17 +1811,17 @@ std::vector<std::vector<RectDomainVal>> cut_chunks(const std::vector<RectDomainV
 
 /// Reference semantics of a PipelinedLoop: the packet loop, sequentially.
 struct PipelinedNode final : SNode {
-  PipelinedNode(const PipelinedLoopStmt& s, X dom, Local v, S b)
+  PipelinedNode(const PipelinedLoopStmt& s, LoopDomain dom, Local v, S b)
       : loop(s), domain(std::move(dom)), var(v), body(std::move(b)) {}
   Flow run(Ctx& c) const override {
     if (c.m.hook && c.m.hook(loop, c.env ? *c.env : c.m.hook_env)) return Flow::Normal;
-    const Value dom = domain->v(c);
-    const auto* range = std::get_if<RectDomainVal>(&dom);
-    if (!range) throw InterpError(domain->loc, "expression is not a rectdomain");
+    Value dom;
+    const auto range = domain.range(c, dom);
+    if (!range) throw InterpError(domain.loc, "expression is not a rectdomain");
     return count_loop(c, range->lo, range->hi, var, *body, 0.0);
   }
   const PipelinedLoopStmt& loop;
-  X domain;
+  LoopDomain domain;
   Local var;
   S body;
 };
@@ -1920,14 +1932,8 @@ class Lowerer {
     scopes_.pop_back();
     return result;
   }
-  /// Lowers a loop body.
-  S loop_body(const Stmt& body) {
-    ++loops_;
-    S lowered = stmt(body);
-    --loops_;
-    return lowered;
-  }
   X var_ref(const VarRef& ref);
+  LoopDomain domain(const Expr& e);
   P place(const Expr& target);
   X call(const CallExpr& call);
   X intrinsic(const CallExpr& call);
@@ -1951,8 +1957,6 @@ class Lowerer {
   int vals_ = 0;
   int scalars_ = 0;
   std::vector<ReturnNode*> returns_;
-  int loops_ = 0;            // loops enclosing the statement being lowered
-  bool stray_jump_ = false;  // a break or continue outside any loop
 };
 
 X Lowerer::var_ref(const VarRef& ref) {
@@ -1987,6 +1991,21 @@ X Lowerer::var_ref(const VarRef& ref) {
                                          ref.location);
   }
   return std::make_unique<Raise>("undeclared variable '" + ref.name + "'", ref.location);
+}
+
+LoopDomain Lowerer::domain(const Expr& e) {
+  LoopDomain dom;
+  dom.loc = e.location;
+  if (e.kind == NodeKind::RectdomainLit) {
+    const auto& lit = static_cast<const RectdomainLit&>(e);
+    if (lit.dims.size() == 1) {
+      dom.lo = expr(*lit.dims[0].lo);
+      dom.hi = expr(*lit.dims[0].hi);
+      return dom;
+    }
+  }
+  dom.value = expr(e);
+  return dom;
 }
 
 /// A boxed assignment target; unboxed locals are stored by their own nodes.
@@ -2083,7 +2102,7 @@ X Lowerer::expr(const Expr& e) {
     case NodeKind::BoolLit:
       return std::make_unique<BoolConst>(static_cast<const BoolLit&>(e).value, loc);
     case NodeKind::StringLit:
-      return std::make_unique<ValConst>(static_cast<const StringLit&>(e).value, loc);
+      return std::make_unique<ValConst>(make_string(static_cast<const StringLit&>(e).value), loc);
     case NodeKind::NullLit:
       return std::make_unique<ValConst>(std::monostate{}, loc);
     case NodeKind::VarRef:
@@ -2242,7 +2261,7 @@ S Lowerer::stmt(const Stmt& s) {
     case NodeKind::WhileStmt: {
       const auto& loop = static_cast<const WhileStmt&>(s);
       X cond = expr(*loop.cond);
-      return std::make_unique<WhileNode>(std::move(cond), loop_body(*loop.body));
+      return std::make_unique<WhileNode>(std::move(cond), stmt(*loop.body));
     }
     case NodeKind::ForStmt: {
       const auto& loop = static_cast<const ForStmt&>(s);
@@ -2250,30 +2269,30 @@ S Lowerer::stmt(const Stmt& s) {
         S init = loop.init ? stmt(*loop.init) : nullptr;
         X cond = loop.cond ? expr(*loop.cond) : nullptr;
         X step = loop.step ? expr(*loop.step) : nullptr;
-        S body = loop_body(*loop.body);
+        S body = stmt(*loop.body);
         return std::make_unique<ForNode>(std::move(init), std::move(cond), std::move(step),
                                          std::move(body));
       });
     }
     case NodeKind::ForeachStmt: {
       const auto& loop = static_cast<const ForeachStmt&>(s);
-      const Expr& domain = *loop.domain;
-      X dom = expr(domain);
+      LoopDomain dom = domain(*loop.domain);
+      const TypePtr& dom_type = loop.domain->type;
       TypePtr var_type;
-      if (domain.type && domain.type->is_rectdomain()) var_type = Type::primitive(PrimKind::Int);
-      if (domain.type && domain.type->is_array()) var_type = domain.type->element();
+      if (dom_type && dom_type->is_rectdomain()) var_type = Type::primitive(PrimKind::Int);
+      if (dom_type && dom_type->is_array()) var_type = dom_type->element();
       return scoped([&]() -> S {
         const Local var = declare_local(loop.var, var_type);
-        return std::make_unique<ForeachNode>(std::move(dom), var, loop_body(*loop.body),
+        return std::make_unique<ForeachNode>(std::move(dom), var, stmt(*loop.body),
                                              loop.location);
       });
     }
     case NodeKind::PipelinedLoopStmt: {
       const auto& loop = static_cast<const PipelinedLoopStmt&>(s);
-      X dom = expr(*loop.domain);
+      LoopDomain dom = domain(*loop.domain);
       return scoped([&]() -> S {
         const Local var = declare_local(loop.var, Type::primitive(PrimKind::Int));
-        return std::make_unique<PipelinedNode>(loop, std::move(dom), var, loop_body(*loop.body));
+        return std::make_unique<PipelinedNode>(loop, std::move(dom), var, stmt(*loop.body));
       });
     }
     case NodeKind::ReturnStmt: {
@@ -2284,7 +2303,6 @@ S Lowerer::stmt(const Stmt& s) {
     }
     case NodeKind::BreakStmt:
     case NodeKind::ContinueStmt:
-      if (loops_ == 0) stray_jump_ = true;
       return std::make_unique<Jump>(s.kind == NodeKind::BreakStmt ? Flow::Break : Flow::Continue);
     default:
       return std::make_unique<RaiseStmt>("unexpected statement node", s.location);
@@ -2292,11 +2310,11 @@ S Lowerer::stmt(const Stmt& s) {
 }
 
 /// Every return must carry one numeric representation, and no run may
-/// fall off the body's end: can_complete_normally rules that out unless a
-/// break or continue outside any loop ends a statement early.
+/// fall off the body's end, which can_complete_normally rules out (sema
+/// accepts a break or continue only inside a loop of the same body).
 Rep Lowerer::finish_method(const BlockStmt& body) {
   Rep rep = Rep::Val;
-  if (!returns_.empty() && !stray_jump_ && !can_complete_normally(body)) {
+  if (!returns_.empty() && !can_complete_normally(body)) {
     rep = returns_.front()->value ? returns_.front()->value->rep : Rep::Val;
     for (const ReturnNode* r : returns_)
       if (!r->value || r->value->rep != rep) rep = Rep::Val;
@@ -2339,8 +2357,15 @@ Value Interpreter::default_value(const TypePtr& type) {
   if (type->is_integral()) return std::int64_t{0};
   if (type->is_floating()) return 0.0;
   if (type->is_boolean()) return false;
-  if (type->is_rectdomain()) return RectDomainVal{};
+  if (type->is_rectdomain()) return make_box(RectDomainVal{});
   return std::monostate{};
+}
+
+std::vector<Value> Interpreter::default_fields(const ClassInfo& cls) {
+  std::vector<Value> fields;
+  fields.reserve(cls.fields.size());
+  for (const FieldInfo& field : cls.fields) fields.push_back(default_value(field.type));
+  return fields;
 }
 
 namespace {
@@ -2396,9 +2421,9 @@ Value Interpreter::eval(const Expr& expr, Env& env) {
   return exec(*lower(expr, env), env);
 }
 
-void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
-                               const std::vector<RectDomainVal>& ranges, int chunks,
-                               std::size_t first_worker) {
+ForeachCut Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
+                                     const std::vector<RectDomainVal>& ranges, int chunks,
+                                     std::size_t first_worker) {
   // Each chunk runs its own lowered copy of the loop, and of the methods
   // it calls, on its own Machine (chunk 0 on this interpreter's): a
   // Machine's run-time state (ops, result registers, frames) is its own.
@@ -2440,13 +2465,13 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
   Chunk first;
   first.lower(*m_, loop, env);
   const auto& node = static_cast<const ForeachNode&>(*first.code);
-  Value dom;
+  std::optional<RectDomainVal> domain;
   {
     Frame frame(*m_, first.frame);
     Ctx c{*m_, frame.vals(), frame.scalars(), &env, &kNoSelf};
-    dom = node.domain->v(c);
+    Value dom;
+    domain = node.domain.range(c, dom);
   }
-  const auto* domain = std::get_if<RectDomainVal>(&dom);
   if (!domain) throw InterpError(node.loc, "foreach over index ranges needs a rectdomain");
 
   std::vector<RectDomainVal> clipped;
@@ -2459,15 +2484,15 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
   }
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(static_cast<std::uint64_t>(std::max(chunks, 1)), iterations));
-  if (n == 0) return;
-  std::vector<std::vector<RectDomainVal>> shares = cut_chunks(clipped, iterations, n);
-  first.ranges = std::move(shares[0]);
+  if (n == 0) return {};
+  ForeachCut cut = cut_chunks(clipped, iterations, n);
+  first.ranges = cut[0];
   std::vector<Chunk> rest(n - 1);
   for (std::size_t k = 1; k < n; ++k) {
     Chunk& chunk = rest[k - 1];
     chunk.owned = std::make_unique<Machine>(m_->registry, m_->constants);
     chunk.lower(*chunk.owned, loop, env);
-    chunk.ranges = std::move(shares[k]);
+    chunk.ranges = cut[k];
   }
   support::WorkerPool& pool = support::WorkerPool::instance();
   for (std::size_t k = 1; k < n; ++k) {
@@ -2485,21 +2510,47 @@ void Interpreter::exec_foreach(const ForeachStmt& loop, Env& env,
     if (!error) error = chunk.error;
   }
   if (error) std::rethrow_exception(error);
+  return cut;
+}
+
+void release_elements(ArrayVal& array, const ForeachCut& cut, std::size_t first_worker) {
+  const auto release = [&array](const std::vector<RectDomainVal>& ranges) {
+    const auto size = static_cast<std::int64_t>(array.elems.size());
+    for (const RectDomainVal& r : ranges) {
+      const std::int64_t lo = std::max<std::int64_t>(r.lo - array.base_index, 0);
+      const std::int64_t hi = std::min<std::int64_t>(r.hi - array.base_index, size - 1);
+      for (std::int64_t i = lo; i <= hi; ++i) array.elems[static_cast<std::size_t>(i)] = Value{};
+    }
+  };
+  if (cut.empty()) return;
+  support::WorkerPool& pool = support::WorkerPool::instance();
+  std::vector<std::future<void>> done;
+  done.reserve(cut.size() - 1);
+  for (std::size_t k = 1; k < cut.size(); ++k)
+    done.push_back(pool.submit(first_worker + k - 1, [&release, &cut, k] { release(cut[k]); }));
+  release(cut[0]);
+  for (std::future<void>& chunk : done) chunk.wait();
+}
+
+bool release_fill(Value& binding, const ForeachCut& cut, std::size_t first_worker) {
+  bool released = false;
+  if (const auto* arr = std::get_if<ArrayRef>(&binding); arr && arr->use_count() == 1) {
+    release_elements(**arr, cut, first_worker);
+    released = true;
+  }
+  binding = Value{};
+  return released;
 }
 
 Value Interpreter::call_method(const std::string& class_name,
-                               const std::string& method_name,
-                               const std::shared_ptr<Object>& receiver,
+                               const std::string& method_name, const ObjectRef& receiver,
                                std::vector<Value> args) {
   return run_method(*m_, m_->lookup(class_name, method_name), receiver, std::move(args));
 }
 
-std::shared_ptr<Object> Interpreter::construct(const std::string& class_name,
-                                               std::vector<Value> args) {
+ObjectRef Interpreter::construct(const std::string& class_name, std::vector<Value> args) {
   const ClassInfo& cls = m_->class_info(class_name);
-  auto obj = std::make_shared<Object>();
-  obj->class_name = cls.name;
-  obj->fields = default_fields(cls);
+  ObjectRef obj = Object::make(intern_class(cls.name), default_fields(cls));
   const MethodDecl* ctor = cls.constructor();
   if (ctor && ctor->body) {
     run_method(*m_, m_->method(cls, *ctor), obj, std::move(args));

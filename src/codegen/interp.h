@@ -92,6 +92,24 @@ class Env {
 /// Interpreter::lower.
 class LoweredCode;
 
+/// The chunks of one Interpreter::exec_foreach call: chunk k's iterations,
+/// range by range, in the order they ran.
+using ForeachCut = std::vector<std::vector<RectDomainVal>>;
+
+/// Nulls `array`'s elements at the iterations of `cut`, chunk k on the
+/// thread exec_foreach ran it on (chunk 0 on the calling thread, chunk k
+/// on worker `first_worker + k - 1` of support::WorkerPool), and waits for
+/// every chunk. Each thread thus frees into its own malloc arena what it
+/// allocated there. Indices outside the array are skipped.
+void release_elements(ArrayVal& array, const ForeachCut& cut, std::size_t first_worker);
+
+/// Drops `binding`, the Env binding of a partitioned fill's array, whose
+/// elements exec_foreach stored in `cut` from `first_worker` on. When the
+/// binding is the array's only holder, its elements are released first
+/// (release_elements) and true is returned; otherwise the array is left
+/// to its other holders as it is.
+bool release_fill(Value& binding, const ForeachCut& cut, std::size_t first_worker);
+
 class Interpreter {
  public:
   Interpreter(const ClassRegistry& registry,
@@ -129,19 +147,18 @@ class Interpreter {
   /// per-iteration ops, so ranges that cover the domain once charge
   /// exactly the whole loop's ops, for any chunk count. Only for loops
   /// whose iterations are independent and touch the Env only to read it
-  /// (the partitioned source setup, DESIGN.md §6.13).
-  void exec_foreach(const ForeachStmt& loop, Env& env,
-                    const std::vector<RectDomainVal>& ranges, int chunks = 1,
-                    std::size_t first_worker = 0);
+  /// (the partitioned source setup, DESIGN.md §6.13). Returns the cut it
+  /// ran: chunk k's iterations, range by range (empty when none ran).
+  ForeachCut exec_foreach(const ForeachStmt& loop, Env& env,
+                          const std::vector<RectDomainVal>& ranges, int chunks = 1,
+                          std::size_t first_worker = 0);
 
   /// Calls Class::method with positional args; returns the return value.
   Value call_method(const std::string& class_name, const std::string& method,
-                    const std::shared_ptr<Object>& receiver,
-                    std::vector<Value> args);
+                    const ObjectRef& receiver, std::vector<Value> args);
 
   /// Allocates an object and runs its constructor.
-  std::shared_ptr<Object> construct(const std::string& class_name,
-                                    std::vector<Value> args);
+  ObjectRef construct(const std::string& class_name, std::vector<Value> args);
 
   /// Runs a whole program: executes the body of `Class::method` (typically
   /// main) with a fresh environment; returns the final environment.
@@ -161,8 +178,10 @@ class Interpreter {
       std::function<bool(const PipelinedLoopStmt&, Env&)>;
   void set_pipelined_hook(PipelinedHook hook);
 
-  /// Default value for a declared type (0 / false / null).
+  /// Default value for a declared type (0 / false / null / empty domain).
   static Value default_value(const TypePtr& type);
+  /// Default values of `cls`'s fields, in field-index order.
+  static std::vector<Value> default_fields(const ClassInfo& cls);
 
   struct Machine;  // execution state shared by all lowered code (interp.cpp)
 

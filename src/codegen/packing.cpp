@@ -262,23 +262,36 @@ std::size_t leaf_width(PrimKind kind) {
 
 }  // namespace
 
+Skeleton skeleton_of(const ClassRegistry& registry, const std::string& name) {
+  Skeleton skeleton;
+  skeleton.name = intern_class(name);
+  if (const ClassInfo* cls = registry.find(name))
+    skeleton.fields = Interpreter::default_fields(*cls);
+  return skeleton;
+}
+
 GroupPlan compile_group_plan(const ClassRegistry& registry,
                              const PackGroup& group,
                              const std::string& elem_class) {
   GroupPlan plan;
+  plan.element = skeleton_of(registry, elem_class);
+  const auto ineligible = [&plan] {
+    plan.leaves.clear();
+    return std::move(plan);
+  };
   if (elem_class.empty()) return plan;
   plan.leaves.reserve(group.items.size());
   std::size_t offset = 0;
   for (const PackedItem& item : group.items) {
     if (!item.type || !item.type->is_primitive() ||
         item.type->prim() == PrimKind::Void)
-      return GroupPlan{};  // reference / whole-value leaf: interpreted path
+      return ineligible();  // reference / whole-value leaf: interpreted path
     std::vector<std::string> fields;
     {
       std::string coll_unused;
       split_elementwise(item.id, coll_unused, fields);
     }
-    if (fields.empty()) return GroupPlan{};  // whole element, tagged
+    if (fields.empty()) return ineligible();  // whole element, tagged
     PlanLeaf leaf;
     leaf.kind = item.type->prim();
     leaf.width = leaf_width(leaf.kind);
@@ -286,14 +299,13 @@ GroupPlan compile_group_plan(const ClassRegistry& registry,
     const ClassInfo* cls = registry.find(elem_class);
     for (std::size_t s = 0; s < fields.size(); ++s) {
       const FieldInfo* field = cls ? cls->find_field(fields[s]) : nullptr;
-      if (!field) return GroupPlan{};  // unresolved: interpreted path
+      if (!field) return ineligible();  // unresolved: interpreted path
       leaf.chain.push_back(field->index);
       if (s + 1 < fields.size()) {
-        if (!field->type || !field->type->is_class()) return GroupPlan{};
+        if (!field->type || !field->type->is_class()) return ineligible();
         const ClassInfo* next = registry.find(field->type->class_name());
-        if (!next) return GroupPlan{};
-        leaf.nested.push_back(next);
-        leaf.nested_types.push_back(field->type);
+        if (!next) return ineligible();
+        leaf.nested_skeletons.push_back(skeleton_of(registry, next->name));
         cls = next;
       }
     }
@@ -447,7 +459,7 @@ Value PacketCodec::read_path(Env& env, const ValueId& id,
   Value current = env.get(id.base);
   for (const std::string& step : id.steps) {
     if (step == kElemStep) {
-      auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&current);
+      auto* arr = std::get_if<ArrayRef>(&current);
       if (!arr || !*arr)
         throw std::runtime_error("pack: '" + id.to_string() +
                                  "' path crosses null array");
@@ -459,16 +471,16 @@ Value PacketCodec::read_path(Env& env, const ValueId& id,
       }
       current = (*arr)->elems[static_cast<std::size_t>(local)];
     } else {
-      auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
+      auto* obj = std::get_if<ObjectRef>(&current);
       if (!obj || !*obj)
         throw std::runtime_error("pack: '" + id.to_string() +
                                  "' path crosses null object");
-      const ClassInfo* cls = registry_->find((*obj)->class_name);
+      const ClassInfo* cls = registry_->find((*obj)->class_name());
       const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
       if (!field)
         throw std::runtime_error("pack: no field '" + step + "' on '" +
-                                 (*obj)->class_name + "'");
-      current = (*obj)->fields[static_cast<std::size_t>(field->index)];
+                                 (*obj)->class_name() + "'");
+      current = (*obj)->field(static_cast<std::size_t>(field->index));
     }
   }
   return current;
@@ -529,13 +541,13 @@ namespace {
 const Value* walk_leaf(const Object& root, const PlanLeaf& leaf) {
   const Object* o = &root;
   for (std::size_t k = 0; k + 1 < leaf.chain.size(); ++k) {
-    const Value& f = o->fields[static_cast<std::size_t>(leaf.chain[k])];
-    const auto* nested = std::get_if<std::shared_ptr<Object>>(&f);
+    const Value& f = o->field(static_cast<std::size_t>(leaf.chain[k]));
+    const auto* nested = std::get_if<ObjectRef>(&f);
     if (!nested || !*nested) return nullptr;
     o = nested->get();
-    if (o->class_name != leaf.nested[k]->name) return nullptr;
+    if (o->class_id() != leaf.nested_skeletons[k].name) return nullptr;
   }
-  return &o->fields[static_cast<std::size_t>(leaf.chain.back())];
+  return &o->field(static_cast<std::size_t>(leaf.chain.back()));
 }
 
 /// Scatters one leaf value to `dst`, with the exact coercions of the
@@ -623,15 +635,14 @@ Value read_leaf_raw(const std::byte* src, PrimKind kind) {
 /// case the caller truncates and reruns the interpreted loop.
 bool pack_group_compiled(const GroupPlan& plan, bool instancewise,
                          const ArrayVal& arr, std::int64_t lo,
-                         std::int64_t count, const std::string& elem_class,
-                         std::byte* dst) {
+                         std::int64_t count, std::byte* dst) {
+  const ClassName elem_class = plan.element.name;
   const std::size_t first = static_cast<std::size_t>(lo - arr.base_index);
   const std::size_t n = static_cast<std::size_t>(count);
   if (instancewise) {
     for (std::size_t i = 0; i < n; ++i) {
-      const auto* obj =
-          std::get_if<std::shared_ptr<Object>>(&arr.elems[first + i]);
-      if (!obj || !*obj || (*obj)->class_name != elem_class) return false;
+      const auto* obj = std::get_if<ObjectRef>(&arr.elems[first + i]);
+      if (!obj || !*obj || (*obj)->class_id() != elem_class) return false;
       std::byte* rec = dst + i * plan.stride;
       for (const PlanLeaf& leaf : plan.leaves) {
         const Value* v = walk_leaf(**obj, leaf);
@@ -644,9 +655,8 @@ bool pack_group_compiled(const GroupPlan& plan, bool instancewise,
       // Field-wise: one contiguous run per leaf (count * prefix widths in).
       std::byte* run = dst + n * leaf.offset;
       for (std::size_t i = 0; i < n; ++i) {
-        const auto* obj =
-            std::get_if<std::shared_ptr<Object>>(&arr.elems[first + i]);
-        if (!obj || !*obj || (*obj)->class_name != elem_class) return false;
+        const auto* obj = std::get_if<ObjectRef>(&arr.elems[first + i]);
+        if (!obj || !*obj || (*obj)->class_id() != elem_class) return false;
         const Value* v = walk_leaf(**obj, leaf);
         if (!v) return false;
         write_leaf_raw(run + i * leaf.width, leaf.kind, *v);
@@ -675,7 +685,7 @@ void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
   parse_path(group.collection, base_name, steps);
   ValueId coll_id{base_name, steps};
   Value coll = read_path(env, coll_id, -1);
-  auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&coll);
+  auto* arr = std::get_if<ArrayRef>(&coll);
   if (!arr || !*arr)
     throw std::runtime_error("pack: collection '" + group.collection +
                              "' is not an array");
@@ -696,8 +706,8 @@ void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
   if (count > 0) {
     const Value& first =
         (*arr)->elems[static_cast<std::size_t>(lo - (*arr)->base_index)];
-    if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&first)) {
-      if (*obj) elem_class = (*obj)->class_name;
+    if (const auto* obj = std::get_if<ObjectRef>(&first)) {
+      if (*obj) elem_class = (*obj)->class_name();
     }
   }
 
@@ -722,8 +732,7 @@ void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
           static_cast<std::size_t>(count) * plan.stride;
       const std::size_t data_start = out.size();
       std::byte* dst = out.append(total);
-      if (pack_group_compiled(plan, group.instancewise, **arr, lo, count,
-                              elem_class, dst)) {
+      if (pack_group_compiled(plan, group.instancewise, **arr, lo, count, dst)) {
         wrote = true;
       } else {
         out.truncate(data_start);  // fall back to the interpreted loop
@@ -789,29 +798,29 @@ void PacketCodec::unpack_header(dc::Buffer& in, Env& env) const {
       }
       Value* current = &env.slot(item.id.base);
       for (std::size_t s = 0; s + 1 < item.id.steps.size(); ++s) {
-        auto* obj = std::get_if<std::shared_ptr<Object>>(current);
+        auto* obj = std::get_if<ObjectRef>(current);
         if (!obj || !*obj)
           throw std::runtime_error("unpack: null path for '" +
                                    item.id.to_string() + "'");
-        const ClassInfo* cls = registry_->find((*obj)->class_name);
+        const ClassInfo* cls = registry_->find((*obj)->class_name());
         const FieldInfo* field =
             cls ? cls->find_field(item.id.steps[s]) : nullptr;
         if (!field)
           throw std::runtime_error("unpack: bad path for '" +
                                    item.id.to_string() + "'");
-        current = &(*obj)->fields[static_cast<std::size_t>(field->index)];
+        current = &(*obj)->field(static_cast<std::size_t>(field->index));
       }
-      auto* obj = std::get_if<std::shared_ptr<Object>>(current);
+      auto* obj = std::get_if<ObjectRef>(current);
       if (!obj || !*obj)
         throw std::runtime_error("unpack: null leaf parent for '" +
                                  item.id.to_string() + "'");
-      const ClassInfo* cls = registry_->find((*obj)->class_name);
+      const ClassInfo* cls = registry_->find((*obj)->class_name());
       const FieldInfo* field =
           cls ? cls->find_field(item.id.steps.back()) : nullptr;
       if (!field)
         throw std::runtime_error("unpack: bad leaf for '" +
                                  item.id.to_string() + "'");
-      (*obj)->fields[static_cast<std::size_t>(field->index)] = std::move(v);
+      (*obj)->field(static_cast<std::size_t>(field->index)) = std::move(v);
     }
   }
 }
@@ -840,15 +849,12 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
   if (!steps.empty())
     throw std::runtime_error(
         "unpack: nested collection paths are packed as whole roots");
-  std::shared_ptr<ArrayVal> arr;
+  ArrayRef arr;
   if (env.has(base_name)) {
-    if (auto* existing =
-            std::get_if<std::shared_ptr<ArrayVal>>(&env.slot(base_name))) {
-      arr = *existing;
-    }
+    if (auto* existing = std::get_if<ArrayRef>(&env.slot(base_name))) arr = *existing;
   }
   if (!arr) {
-    arr = std::make_shared<ArrayVal>();
+    arr = ArrayVal::make();
     arr->base_index = lo;
     env.declare(base_name, arr);
   }
@@ -870,24 +876,18 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
     arr->elems = std::move(resized);
     arr->base_index = new_lo;
   }
-  // Materialize reduced element objects.
-  auto element_at = [&](std::int64_t index) -> std::shared_ptr<Object> {
+  // Materialize reduced element objects, of the class the plan interned.
+  const GroupPlan* plan = count > 0 ? &plan_for(group, elem_class) : nullptr;
+  auto element_at = [&](std::int64_t index) -> Object* {
     Value& slot =
         arr->elems[static_cast<std::size_t>(index - arr->base_index)];
-    if (auto* obj = std::get_if<std::shared_ptr<Object>>(&slot)) {
-      if (*obj) return *obj;
+    if (auto* obj = std::get_if<ObjectRef>(&slot)) {
+      if (*obj) return obj->get();
     }
-    auto obj = std::make_shared<Object>();
-    obj->class_name = elem_class;
-    if (const ClassInfo* cls = registry_->find(elem_class)) {
-      obj->fields.resize(cls->fields.size());
-      for (const FieldInfo& f : cls->fields) {
-        obj->fields[static_cast<std::size_t>(f.index)] =
-            Interpreter::default_value(f.type);
-      }
-    }
-    slot = obj;
-    return obj;
+    ObjectRef obj = plan->element.make();
+    Object* raw = obj.get();
+    slot = std::move(obj);
+    return raw;
   };
   auto set_field = [&](std::int64_t index, const PackedItem& item, Value v) {
     // Field path after the "[]" step.
@@ -902,34 +902,25 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
           std::move(v);
       return;
     }
-    std::shared_ptr<Object> obj = element_at(index);
+    Object* current_obj = element_at(index);
     Value* current_slot = nullptr;
-    std::shared_ptr<Object> current_obj = obj;
     for (std::size_t s = 0; s < fields.size(); ++s) {
-      const ClassInfo* cls = registry_->find(current_obj->class_name);
+      const ClassInfo* cls = registry_->find(current_obj->class_name());
       const FieldInfo* field = cls ? cls->find_field(fields[s]) : nullptr;
       if (!field)
         throw std::runtime_error("unpack: bad element field '" + fields[s] +
                                  "'");
-      current_slot =
-          &current_obj->fields[static_cast<std::size_t>(field->index)];
+      current_slot = &current_obj->field(static_cast<std::size_t>(field->index));
       if (s + 1 < fields.size()) {
-        auto* next = std::get_if<std::shared_ptr<Object>>(current_slot);
+        auto* next = std::get_if<ObjectRef>(current_slot);
         if (!next || !*next) {
           // Materialize nested skeleton.
-          auto nested = std::make_shared<Object>();
-          nested->class_name = field->type->class_name();
-          if (const ClassInfo* ncls = registry_->find(nested->class_name)) {
-            nested->fields.resize(ncls->fields.size());
-            for (const FieldInfo& f : ncls->fields) {
-              nested->fields[static_cast<std::size_t>(f.index)] =
-                  Interpreter::default_value(f.type);
-            }
-          }
-          *current_slot = nested;
-          current_obj = nested;
+          ObjectRef nested =
+              skeleton_of(*registry_, field->type->class_name()).make();
+          current_obj = nested.get();
+          *current_slot = std::move(nested);
         } else {
-          current_obj = *next;
+          current_obj = next->get();
         }
       }
     }
@@ -940,36 +931,32 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
   const std::size_t data_start = in.read_pos();
   const std::size_t header_bytes = data_start - group_start;
   if (compiled && count > 0) {
-    const GroupPlan& plan = plan_for(group, elem_class);
-    const std::size_t total = static_cast<std::size_t>(count) * plan.stride;
+    const std::size_t total = static_cast<std::size_t>(count) * plan->stride;
     // The wire-size guard rejects packets written by a codec whose leaf
     // widths differ from the plan's (e.g. a tagged reference leaf).
-    if (plan.eligible &&
+    if (plan->eligible &&
         static_cast<std::size_t>(block_size) == header_bytes + total) {
       const std::byte* src = in.span(data_start, total);
       bool ok = true;
-      const std::size_t first =
-          static_cast<std::size_t>(lo - arr->base_index);
       const std::size_t n = static_cast<std::size_t>(count);
       for (std::size_t i = 0; ok && i < n; ++i) {
-        std::shared_ptr<Object> obj = element_at(lo + static_cast<std::int64_t>(i));
-        if (obj->class_name != elem_class) {
+        Object* obj = element_at(lo + static_cast<std::int64_t>(i));
+        if (obj->class_id() != plan->element.name) {
           ok = false;  // pre-existing foreign element: interpreted path
           break;
         }
-        for (std::size_t j = 0; j < plan.leaves.size(); ++j) {
-          const PlanLeaf& leaf = plan.leaves[j];
+        for (const PlanLeaf& leaf : plan->leaves) {
           const std::byte* p =
               (instancewise != 0)
-                  ? src + i * plan.stride + leaf.offset
+                  ? src + i * plan->stride + leaf.offset
                   : src + n * leaf.offset + i * leaf.width;
-          Object* o = obj.get();
+          Object* o = obj;
           bool walked = true;
           for (std::size_t k = 0; k + 1 < leaf.chain.size(); ++k) {
-            Value& slot = o->fields[static_cast<std::size_t>(leaf.chain[k])];
-            auto* next = std::get_if<std::shared_ptr<Object>>(&slot);
+            Value& slot = o->field(static_cast<std::size_t>(leaf.chain[k]));
+            auto* next = std::get_if<ObjectRef>(&slot);
             if (next && *next) {
-              if ((*next)->class_name != leaf.nested[k]->name) {
+              if ((*next)->class_id() != leaf.nested_skeletons[k].name) {
                 walked = false;
                 break;
               }
@@ -977,13 +964,7 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
               continue;
             }
             // Materialize the nested skeleton exactly as set_field does.
-            auto nested = std::make_shared<Object>();
-            nested->class_name = leaf.nested_types[k]->class_name();
-            nested->fields.resize(leaf.nested[k]->fields.size());
-            for (const FieldInfo& f : leaf.nested[k]->fields) {
-              nested->fields[static_cast<std::size_t>(f.index)] =
-                  Interpreter::default_value(f.type);
-            }
+            ObjectRef nested = leaf.nested_skeletons[k].make();
             o = nested.get();
             slot = std::move(nested);
           }
@@ -991,11 +972,10 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
             ok = false;
             break;
           }
-          o->fields[static_cast<std::size_t>(leaf.chain.back())] =
+          o->field(static_cast<std::size_t>(leaf.chain.back())) =
               read_leaf_raw(p, leaf.kind);
         }
       }
-      (void)first;
       if (ok) {
         in.skip(total);
         return;

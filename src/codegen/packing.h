@@ -79,15 +79,25 @@ using SymbolResolver =
 std::optional<std::pair<std::int64_t, std::int64_t>> eval_section(
     const RectSection& section, const SymbolResolver& resolve);
 
+/// What unpacking needs to make an object of one class: the class name,
+/// interned, and its default field values, both fixed at plan time.
+struct Skeleton {
+  ClassName name = nullptr;
+  std::vector<Value> fields;
+  ObjectRef make() const { return Object::make(name, fields); }
+};
+
+/// The skeleton of class `name`; without fields when `registry` lacks it.
+Skeleton skeleton_of(const ClassRegistry& registry, const std::string& name);
+
 /// One resolved leaf of a compiled group plan: the field-index chain below
 /// the element (no string lookups in the steady state), the primitive kind,
-/// and its fixed wire width. `nested[i]` / `nested_types[i]` describe the
-/// object entered by `chain[i]` for every non-final step, so unpacking can
+/// and its fixed wire width. `nested_skeletons[i]` describes the object
+/// entered by `chain[i]` for every non-final step, so unpacking can
 /// materialize skeletons exactly as the interpreted path does.
 struct PlanLeaf {
   std::vector<int> chain;
-  std::vector<const ClassInfo*> nested;  // size chain.size() - 1
-  std::vector<TypePtr> nested_types;     // declared types of nested objects
+  std::vector<Skeleton> nested_skeletons;  // size chain.size() - 1
   PrimKind kind = PrimKind::Void;
   std::size_t width = 0;
   std::size_t offset = 0;  // byte offset inside an instance-wise record
@@ -102,6 +112,9 @@ struct GroupPlan {
   bool eligible = false;
   std::vector<PlanLeaf> leaves;
   std::size_t stride = 0;  // per-element byte footprint
+  /// The element class, set whether or not the plan is eligible: the
+  /// interpreted path materializes elements from it too.
+  Skeleton element;
 };
 
 /// Compiles `group` against a concrete element class. Returns an

@@ -66,21 +66,25 @@ void write_value(dc::Buffer& out, const Value& value) {
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Bool));
       out.write<std::uint8_t>(b ? 1 : 0);
     }
-    void operator()(const std::string& s) {
+    void operator()(const StringRef& s) {
+      if (!s) {
+        out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Null));
+        return;
+      }
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::String));
-      write_string(out, s);
+      write_string(out, s->value);
     }
-    void operator()(const std::shared_ptr<Object>& obj) {
+    void operator()(const ObjectRef& obj) {
       if (!obj) {
         out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Null));
         return;
       }
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Object));
-      write_string(out, obj->class_name);
-      out.write<std::uint32_t>(static_cast<std::uint32_t>(obj->fields.size()));
-      for (const Value& f : obj->fields) write_value(out, f);
+      write_string(out, obj->class_name());
+      out.write<std::uint32_t>(static_cast<std::uint32_t>(obj->fields().size()));
+      for (const Value& f : obj->fields()) write_value(out, f);
     }
-    void operator()(const std::shared_ptr<ArrayVal>& arr) {
+    void operator()(const ArrayRef& arr) {
       if (!arr) {
         out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Null));
         return;
@@ -130,10 +134,14 @@ void write_value(dc::Buffer& out, const Value& value) {
       out.write<std::uint64_t>(arr->elems.size());
       for (const Value& v : arr->elems) write_value(out, v);
     }
-    void operator()(const RectDomainVal& dom) {
+    void operator()(const DomainRef& dom) {
+      if (!dom) {
+        out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Null));
+        return;
+      }
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Rectdomain));
-      out.write<std::int64_t>(dom.lo);
-      out.write<std::int64_t>(dom.hi);
+      out.write<std::int64_t>(dom->value.lo);
+      out.write<std::int64_t>(dom->value.hi);
     }
   };
   std::visit(Visitor{out}, value);
@@ -151,18 +159,17 @@ Value read_value(dc::Buffer& in) {
     case Tag::Bool:
       return in.read<std::uint8_t>() != 0;
     case Tag::String:
-      return read_string(in);
+      return make_string(read_string(in));
     case Tag::Object: {
-      auto obj = std::make_shared<Object>();
-      obj->class_name = read_string(in);
+      const ClassName cls = intern_class(read_string(in));
       std::uint32_t n = in.read<std::uint32_t>();
-      obj->fields.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i)
-        obj->fields.push_back(read_value(in));
-      return obj;
+      std::vector<Value> fields;
+      fields.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) fields.push_back(read_value(in));
+      return Object::make(cls, fields);
     }
     case Tag::Array: {
-      auto arr = std::make_shared<ArrayVal>();
+      ArrayRef arr = ArrayVal::make();
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -171,7 +178,7 @@ Value read_value(dc::Buffer& in) {
       return arr;
     }
     case Tag::IntArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
+      ArrayRef arr = ArrayVal::make();
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -180,7 +187,7 @@ Value read_value(dc::Buffer& in) {
       return arr;
     }
     case Tag::DoubleArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
+      ArrayRef arr = ArrayVal::make();
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -189,8 +196,7 @@ Value read_value(dc::Buffer& in) {
       return arr;
     }
     case Tag::FloatArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Float);
+      ArrayRef arr = ArrayVal::make(Type::primitive(PrimKind::Float));
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -199,8 +205,7 @@ Value read_value(dc::Buffer& in) {
       return arr;
     }
     case Tag::Int32ArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Int);
+      ArrayRef arr = ArrayVal::make(Type::primitive(PrimKind::Int));
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -209,8 +214,7 @@ Value read_value(dc::Buffer& in) {
       return arr;
     }
     case Tag::ByteArrayRaw: {
-      auto arr = std::make_shared<ArrayVal>();
-      arr->element_type = Type::primitive(PrimKind::Byte);
+      ArrayRef arr = ArrayVal::make(Type::primitive(PrimKind::Byte));
       arr->base_index = in.read<std::int64_t>();
       std::uint64_t n = in.read<std::uint64_t>();
       arr->elems.reserve(n);
@@ -222,7 +226,7 @@ Value read_value(dc::Buffer& in) {
       RectDomainVal dom;
       dom.lo = in.read<std::int64_t>();
       dom.hi = in.read<std::int64_t>();
-      return dom;
+      return make_box(dom);
     }
   }
   throw std::runtime_error("read_value: corrupt buffer");
@@ -245,21 +249,25 @@ bool value_equal(const Value& a, const Value& b, double float_tol) {
   if (const auto* d = std::get_if<double>(&a))
     return std::fabs(*d - std::get<double>(b)) <= float_tol;
   if (const auto* bo = std::get_if<bool>(&a)) return *bo == std::get<bool>(b);
-  if (const auto* s = std::get_if<std::string>(&a))
-    return *s == std::get<std::string>(b);
-  if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&a)) {
-    const auto& other = std::get<std::shared_ptr<Object>>(b);
+  if (const auto* s = std::get_if<StringRef>(&a)) {
+    const auto& other = std::get<StringRef>(b);
+    if (!*s || !other) return s->get() == other.get();
+    return (*s)->value == other->value;
+  }
+  if (const auto* obj = std::get_if<ObjectRef>(&a)) {
+    const auto& other = std::get<ObjectRef>(b);
     if (!*obj || !other) return obj->get() == other.get();
-    if ((*obj)->class_name != other->class_name) return false;
-    if ((*obj)->fields.size() != other->fields.size()) return false;
-    for (std::size_t i = 0; i < (*obj)->fields.size(); ++i) {
-      if (!value_equal((*obj)->fields[i], other->fields[i], float_tol))
-        return false;
+    if ((*obj)->class_id() != other->class_id()) return false;
+    const auto mine = (*obj)->fields();
+    const auto theirs = other->fields();
+    if (mine.size() != theirs.size()) return false;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      if (!value_equal(mine[i], theirs[i], float_tol)) return false;
     }
     return true;
   }
-  if (const auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&a)) {
-    const auto& other = std::get<std::shared_ptr<ArrayVal>>(b);
+  if (const auto* arr = std::get_if<ArrayRef>(&a)) {
+    const auto& other = std::get<ArrayRef>(b);
     if (!*arr || !other) return arr->get() == other.get();
     if ((*arr)->elems.size() != other->elems.size()) return false;
     for (std::size_t i = 0; i < (*arr)->elems.size(); ++i) {
@@ -268,9 +276,10 @@ bool value_equal(const Value& a, const Value& b, double float_tol) {
     }
     return true;
   }
-  if (const auto* dom = std::get_if<RectDomainVal>(&a)) {
-    const auto& other = std::get<RectDomainVal>(b);
-    return dom->lo == other.lo && dom->hi == other.hi;
+  if (const auto* dom = std::get_if<DomainRef>(&a)) {
+    const auto& other = std::get<DomainRef>(b);
+    if (!*dom || !other) return dom->get() == other.get();
+    return (*dom)->value.lo == other->value.lo && (*dom)->value.hi == other->value.hi;
   }
   return false;
 }

@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "datacutter/checkpoint.h"
@@ -139,5 +140,34 @@ class CutCollector {
   std::map<std::pair<std::size_t, int>, Terminal> terminals_;
   std::vector<support::CheckpointRecord> records_;
 };
+
+/// What the supervisor knows about a worker whose heartbeats it has not
+/// read for `silent_seconds` (docs/ROBUSTNESS.md, "Heartbeats and
+/// liveness").
+struct LapseEvidence {
+  double silent_seconds = 0.0;
+  /// Bytes waiting on the worker's status pipe: beats not yet read.
+  std::size_t unread_status_bytes = 0;
+  /// The worker's control reader may hold read but unhandled beats.
+  bool reader_holds_beats = false;
+  /// The control reader thread's own /proc stat line. State R means it
+  /// is not parked in its read: it may have taken a beat off the pipe
+  /// without having marked it held yet.
+  std::string reader_stat;
+  /// One /proc/<pid>/task/<tid>/stat line per thread of the worker.
+  std::vector<std::string> task_stats;
+};
+
+/// The scheduler state letter of a /proc stat line ('R', 'S', 'T', ...):
+/// the field after the command name, which may itself contain spaces and
+/// ')', so the parse starts after the line's last ')'. '?' if malformed.
+char proc_stat_state(std::string_view stat_line);
+
+/// The lapse verdict: kill only when the silence is the worker's own. It
+/// is past `lapse_after`, the supervisor holds none of its beats unread
+/// (none on the pipe, none held by a control reader, which is parked),
+/// and none of the worker's threads is runnable (one in state R waits for
+/// a CPU or a cgroup quota; it is not wedged).
+bool lapse_is_workers_own(const LapseEvidence& evidence, double lapse_after);
 
 }  // namespace cgp::dc::detail

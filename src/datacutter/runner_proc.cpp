@@ -48,6 +48,7 @@
 // queued prefix drains; when the budget runs out the run therefore still
 // ends with the surviving stages' partial result (RunOutcome::kDegraded)
 // instead of nothing.
+#include <dirent.h>
 #include <errno.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -58,6 +59,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -79,10 +81,54 @@
 
 namespace cgp::dc {
 
+namespace detail {
+
+char proc_stat_state(std::string_view stat_line) {
+  const std::size_t close = stat_line.rfind(')');
+  if (close == std::string_view::npos || close + 2 >= stat_line.size() ||
+      stat_line[close + 1] != ' ')
+    return '?';
+  return stat_line[close + 2];
+}
+
+bool lapse_is_workers_own(const LapseEvidence& evidence, double lapse_after) {
+  if (evidence.silent_seconds <= lapse_after) return false;
+  if (evidence.unread_status_bytes > 0 || evidence.reader_holds_beats) return false;
+  if (proc_stat_state(evidence.reader_stat) == 'R') return false;  // not parked
+  for (const std::string& stat : evidence.task_stats)
+    if (proc_stat_state(stat) == 'R') return false;
+  return true;
+}
+
+}  // namespace detail
+
 namespace {
 
 using detail::Clock;
 using detail::seconds_since;
+
+/// The first line of `path`; empty when it cannot be read.
+std::string first_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+/// One stat line per thread of process `pid`; empty once it is gone.
+std::vector<std::string> read_task_stats(pid_t pid) {
+  std::vector<std::string> stats;
+  const std::string dir = "/proc/" + std::to_string(pid) + "/task";
+  DIR* tasks = ::opendir(dir.c_str());
+  if (!tasks) return stats;
+  while (const dirent* entry = ::readdir(tasks)) {
+    if (entry->d_name[0] == '.') continue;
+    std::string line = first_line(dir + "/" + entry->d_name + "/stat");
+    if (!line.empty()) stats.push_back(std::move(line));
+  }
+  ::closedir(tasks);
+  return stats;
+}
 
 // ---- control-plane messages -----------------------------------------------
 // Each message is one kData frame whose Buffer tag is the message type.
@@ -729,6 +775,7 @@ struct HeartbeatState {
   std::atomic<std::int64_t> beats{0};
   std::atomic<std::int64_t> latency_sum_ns{0};
   std::atomic<std::int64_t> latency_max_ns{0};
+  std::atomic<pid_t> reader_tid{0};  // the control reader's thread
 };
 
 std::int64_t steady_now_ns() {
@@ -1121,6 +1168,7 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
     std::vector<std::thread> control_readers;
     for (std::size_t wi = 0; wi < n_workers; ++wi)
       control_readers.emplace_back([&, wi] {
+        hb[wi].reader_tid.store(::gettid(), std::memory_order_relaxed);
         WorkerReport& report = reports[wi];
         for (;;) {
           std::optional<Frame> frame = workers[wi].status->recv();
@@ -1280,7 +1328,10 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
             // Lapse monitor: a worker whose heartbeats stopped is wedged
             // or half-dead in a way the data plane cannot see (e.g. a
             // stuck syscall). Kill it crisply; the reap above classifies
-            // the corpse, and under self-healing it gets resurrected.
+            // the corpse, and under self-healing it gets resurrected. A
+            // silence that is not the worker's own spares it: beats this
+            // process has not read yet, or a worker thread waiting for a
+            // CPU (detail::lapse_is_workers_own).
             const std::int64_t now_ns = steady_now_ns();
             // Self-stall guard: a monitor that just lost the CPU for a
             // sizable slice of the window cannot tell a silent worker
@@ -1299,7 +1350,22 @@ RunOutcome PipelineRunner::run_multiprocess(bool run_ckpt) {
               if (w.reaped || lapse_killed[wi]) continue;
               const std::int64_t last =
                   hb[wi].last_beat_ns.load(std::memory_order_relaxed);
-              if (static_cast<double>(now_ns - last) / 1e9 > lapse_after) {
+              if (static_cast<double>(now_ns - last) / 1e9 <= lapse_after) continue;
+              // The evidence first, then the silence: a beat handled
+              // meanwhile shows in the silence read after it.
+              detail::LapseEvidence evidence;
+              evidence.unread_status_bytes = w.status_chan->unread_bytes();
+              evidence.reader_holds_beats = w.status_chan->reader_holds_bytes();
+              const pid_t reader = hb[wi].reader_tid.load(std::memory_order_relaxed);
+              if (reader > 0)
+                evidence.reader_stat =
+                    first_line("/proc/self/task/" + std::to_string(reader) + "/stat");
+              evidence.task_stats = read_task_stats(w.pid);
+              evidence.silent_seconds =
+                  static_cast<double>(steady_now_ns() -
+                                      hb[wi].last_beat_ns.load(std::memory_order_relaxed)) /
+                  1e9;
+              if (detail::lapse_is_workers_own(evidence, lapse_after)) {
                 lapse_killed[wi] = 1;
                 ::kill(w.pid, SIGKILL);
               }

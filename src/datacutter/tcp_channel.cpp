@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -44,16 +45,24 @@ bool FdChannel::write_all(const std::byte* src, std::size_t n) {
 }
 
 std::ptrdiff_t FdChannel::read_some(std::byte* dst, std::size_t n) {
+  holding_.store(false, std::memory_order_release);
   for (;;) {
     if (aborted_.load(std::memory_order_relaxed)) return -1;
     const ssize_t got = kind_ == Kind::kSocket ? ::recv(fd_, dst, n, 0)
                                                : ::read(fd_, dst, n);
+    if (got > 0) holding_.store(true, std::memory_order_relaxed);
     if (got >= 0) return got;
     if (errno == EINTR) continue;
     // ECONNRESET and friends read as end-of-stream; a consumer that was
     // mid-frame surfaces the truncation through the frame decoder.
     return aborted_.load(std::memory_order_relaxed) ? -1 : 0;
   }
+}
+
+std::size_t FdChannel::unread_bytes() const {
+  int queued = 0;
+  if (fd_ < 0 || ::ioctl(fd_, FIONREAD, &queued) < 0 || queued < 0) return 0;
+  return static_cast<std::size_t>(queued);
 }
 
 void FdChannel::close_write() {

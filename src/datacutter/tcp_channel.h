@@ -35,11 +35,20 @@ class FdChannel : public ByteChannel {
 
   int fd() const { return fd_; }
 
+  /// Bytes the kernel holds for this descriptor's next read (FIONREAD).
+  std::size_t unread_bytes() const;
+  /// Whether the reader may hold bytes it has read but not yet handled:
+  /// true from a read that returned data until the reader's next read.
+  /// Acquire: a reader seen back in its read has published what it
+  /// handled before.
+  bool reader_holds_bytes() const { return holding_.load(std::memory_order_acquire); }
+
  private:
   int fd_;
   Kind kind_;
   std::atomic<bool> aborted_{false};
   std::atomic<bool> write_closed_{false};
+  std::atomic<bool> holding_{false};
 };
 
 class TcpListener {

@@ -43,19 +43,19 @@ SymbolResolver env_resolver(Env& env, const ClassRegistry& registry,
       if (!env.has(base)) return std::nullopt;
       Value current = env.get(base);
       for (const std::string& step : steps) {
-        auto* obj = std::get_if<std::shared_ptr<Object>>(&current);
+        auto* obj = std::get_if<ObjectRef>(&current);
         if (!obj || !*obj) return std::nullopt;
-        const ClassInfo* cls = registry.find((*obj)->class_name);
+        const ClassInfo* cls = registry.find((*obj)->class_name());
         const FieldInfo* field = cls ? cls->find_field(step) : nullptr;
         if (!field) return std::nullopt;
-        current = (*obj)->fields[static_cast<std::size_t>(field->index)];
+        current = (*obj)->field(static_cast<std::size_t>(field->index));
       }
       return current;
     };
     if (sym.rfind("len(", 0) == 0 && sym.back() == ')') {
       std::optional<Value> v = lookup(sym.substr(4, sym.size() - 5));
       if (!v) return std::nullopt;
-      if (auto* arr = std::get_if<std::shared_ptr<ArrayVal>>(&*v)) {
+      if (auto* arr = std::get_if<ArrayRef>(&*v)) {
         if (!*arr) return std::nullopt;
         return (*arr)->base_index +
                static_cast<std::int64_t>((*arr)->elems.size());
@@ -87,8 +87,9 @@ DecompositionInput profile_decomposition_input(
   interp.exec_stmts(model.before, env);
 
   Value dom_value = interp.eval(*model.loop->domain, env);
-  const auto* dom = std::get_if<RectDomainVal>(&dom_value);
-  if (!dom) throw std::runtime_error("profile: packet domain not a rectdomain");
+  const auto* boxed = std::get_if<DomainRef>(&dom_value);
+  if (!boxed || !*boxed) throw std::runtime_error("profile: packet domain not a rectdomain");
+  const RectDomainVal* dom = &(*boxed)->value;
   const std::int64_t n_available = dom->size();
   const std::int64_t samples =
       std::min<std::int64_t>(sample_packets, n_available);

@@ -1,6 +1,8 @@
 #include "sema/sema.h"
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "support/str.h"
 
@@ -133,6 +135,7 @@ void Sema::check_class(ClassDecl& cls) {
 
 void Sema::check_method(const ClassInfo& cls, MethodDecl& method) {
   current_method_ = &method;
+  loop_depth_ = 0;
   push_scope();
   declare("this", Type::class_type(cls.name), method.location);
   for (const auto& param : method.params) {
@@ -245,7 +248,7 @@ void Sema::check_stmt(Stmt& stmt) {
         diags_.error(while_stmt.location, "sema",
                      "while condition must be boolean");
       }
-      check_stmt(*while_stmt.body);
+      check_loop_body(*while_stmt.body);
       break;
     }
     case NodeKind::ForStmt: {
@@ -260,7 +263,7 @@ void Sema::check_stmt(Stmt& stmt) {
         }
       }
       if (for_stmt.step) check_expr(*for_stmt.step);
-      check_stmt(*for_stmt.body);
+      check_loop_body(*for_stmt.body);
       pop_scope();
       break;
     }
@@ -284,7 +287,7 @@ void Sema::check_stmt(Stmt& stmt) {
       }
       push_scope();
       declare(foreach_stmt.var, var_type, foreach_stmt.location);
-      check_stmt(*foreach_stmt.body);
+      check_loop_body(*foreach_stmt.body);
       check_reduction_discipline(*foreach_stmt.body, /*in_foreach=*/true);
       pop_scope();
       break;
@@ -302,7 +305,11 @@ void Sema::check_stmt(Stmt& stmt) {
       }
       push_scope();
       declare(loop.var, Type::primitive(PrimKind::Int), loop.location);
+      // The packet loop is not a loop a jump may leave: the compiled
+      // pipeline runs every packet.
+      const int enclosing = std::exchange(loop_depth_, 0);
       check_stmt(*loop.body);
+      loop_depth_ = enclosing;
       pop_scope();
       break;
     }
@@ -326,10 +333,21 @@ void Sema::check_stmt(Stmt& stmt) {
     }
     case NodeKind::BreakStmt:
     case NodeKind::ContinueStmt:
+      if (loop_depth_ == 0) {
+        diags_.error(stmt.location, "sema",
+                     std::string(stmt.kind == NodeKind::BreakStmt ? "'break'" : "'continue'") +
+                         " outside a while, for or foreach loop");
+      }
       break;
     default:
       diags_.error(stmt.location, "sema", "unexpected node in statement position");
   }
+}
+
+void Sema::check_loop_body(Stmt& body) {
+  ++loop_depth_;
+  check_stmt(body);
+  --loop_depth_;
 }
 
 void Sema::check_reduction_discipline(Stmt& stmt, bool in_foreach) {

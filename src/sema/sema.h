@@ -45,6 +45,9 @@ class Sema {
   void check_class(ClassDecl& cls);
   void check_method(const ClassInfo& cls, MethodDecl& method);
   void check_stmt(Stmt& stmt);
+  /// Checks the body of a while, for or foreach: a break or continue is
+  /// accepted only inside one of those, in the same method body.
+  void check_loop_body(Stmt& body);
   TypePtr check_expr(Expr& expr);
   TypePtr check_var_ref(VarRef& ref);
   TypePtr check_call(CallExpr& call);
@@ -70,6 +73,7 @@ class Sema {
   std::map<std::string, bool> runtime_constants_;
   int next_foreach_id_ = 0;
   int pipelined_loop_count_ = 0;
+  int loop_depth_ = 0;  // enclosing loops a break or continue may leave
 };
 
 }  // namespace cgp

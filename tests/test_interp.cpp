@@ -238,7 +238,7 @@ TEST(Interp, BaseIndexedArrayAccess) {
     }
   )");
   Interpreter interp(f.registry);
-  auto arr = std::make_shared<ArrayVal>();
+  ArrayRef arr = ArrayVal::make();
   arr->base_index = 100;
   arr->elems = {Value{std::int64_t{7}}, Value{std::int64_t{8}}};
   auto obj = interp.construct("A", {});
@@ -543,7 +543,7 @@ TEST(Interp, ExecForeachRunsOnlyTheGivenRanges) {
       interp.exec_foreach(fill, env, *ranges);
     else
       interp.exec_stmt(fill, env);
-    const auto& data = std::get<std::shared_ptr<ArrayVal>>(env.get("data"));
+    const auto& data = std::get<ArrayRef>(env.get("data"));
     std::vector<double> values;
     for (const Value& v : data->elems) values.push_back(as_double(v));
     return std::make_pair(values, interp.ops());
@@ -703,6 +703,60 @@ TEST(Interp, ExecForeachRethrowsTheLowestFailingIteration) {
   const ChunkedRun tail = fill.run(1, {{301, 999}}, 1);
   EXPECT_NE(tail.error.find("array index 800 out of range"), std::string::npos);
   EXPECT_EQ(fill.run(1, {{301, 999}}, 4).error, tail.error);
+}
+
+// ---- releasing a partitioned fill ------------------------------------------
+
+/// kChunkedFill's clean fill of `cells`, run in four chunks from worker 4.
+struct FilledCells {
+  FilledCells() : f(prepare(kChunkedFill)), interp(f.registry) {
+    const auto& body = f.registry.find("A")->find_method("main")->body->statements;
+    interp.exec_stmts({body[0].get(), body[1].get(), body[2].get()}, env);
+    cut = interp.exec_foreach(static_cast<const ForeachStmt&>(*body[3]), env, {{0, 999}},
+                              /*chunks=*/4, /*first_worker=*/4);
+  }
+  Fixture f;
+  Interpreter interp;
+  Env env;
+  ForeachCut cut;
+};
+
+TEST(Interp, ReleaseFillFreesEveryElementOnItsChunksWorkers) {
+  FilledCells fill;
+  ASSERT_EQ(fill.cut.size(), 4u);
+  ArrayRef cells = std::get<ArrayRef>(fill.env.get("cells"));
+  ASSERT_EQ(cells->elems.size(), 1000u);
+  for (const Value& v : cells->elems) ASSERT_TRUE(std::holds_alternative<ObjectRef>(v));
+  release_elements(*cells, fill.cut, 4);
+  for (const Value& v : cells->elems) EXPECT_TRUE(is_null(v));
+
+  // Indices the array does not have are skipped.
+  ArrayRef small = ArrayVal::make();
+  small->base_index = 10;
+  small->elems.assign(4, Value{std::int64_t{1}});
+  release_elements(*small, {{{-5, 10}}, {{12, 40}}}, 4);
+  EXPECT_TRUE(is_null(small->elems[0]));
+  EXPECT_EQ(as_int(small->elems[1]), 1);
+  EXPECT_TRUE(is_null(small->elems[2]));
+  EXPECT_TRUE(is_null(small->elems[3]));
+}
+
+TEST(Interp, ReleaseFillReleasesOnlyWhenTheBindingIsTheOnlyHolder) {
+  {
+    FilledCells fill;
+    const ObjectRef first = std::get<ObjectRef>(std::get<ArrayRef>(fill.env.get("cells"))->elems[0]);
+    ASSERT_EQ(first.use_count(), 2u);
+    EXPECT_TRUE(release_fill(fill.env.slot("cells"), fill.cut, 4));
+    EXPECT_TRUE(is_null(fill.env.get("cells")));
+    EXPECT_EQ(first.use_count(), 1u);
+    EXPECT_EQ(std::get<std::int64_t>(first->field(1)), 0);
+  }
+  FilledCells fill;
+  const ArrayRef other = std::get<ArrayRef>(fill.env.get("cells"));  // a second holder
+  EXPECT_FALSE(release_fill(fill.env.slot("cells"), fill.cut, 4));
+  EXPECT_TRUE(is_null(fill.env.get("cells")));
+  ASSERT_EQ(other.use_count(), 1u);
+  for (const Value& v : other->elems) EXPECT_TRUE(std::holds_alternative<ObjectRef>(v));
 }
 
 // ---- typed calls and unboxed locals ---------------------------------------

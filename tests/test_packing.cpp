@@ -111,19 +111,16 @@ TEST(Packing, ScalarsStayInHeader) {
 // Codec round-trips
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<ArrayVal> make_tris(const ClassRegistry& registry, int n,
-                                    std::int64_t base = 0) {
-  auto arr = std::make_shared<ArrayVal>();
+ArrayRef make_tris(const ClassRegistry& registry, int n, std::int64_t base = 0) {
+  ArrayRef arr = ArrayVal::make();
   arr->base_index = base;
   const ClassInfo* info = registry.find("Tri");
   for (int i = 0; i < n; ++i) {
-    auto obj = std::make_shared<Object>();
-    obj->class_name = "Tri";
-    obj->fields.resize(info->fields.size());
-    obj->fields[0] = Value{static_cast<double>(i) + 0.25};
-    obj->fields[1] = Value{static_cast<double>(i) * 2.0};
-    obj->fields[2] = Value{static_cast<double>(i) - 0.5};
-    arr->elems.push_back(obj);
+    std::vector<Value> fields(info->fields.size());
+    fields[0] = Value{static_cast<double>(i) + 0.25};
+    fields[1] = Value{static_cast<double>(i) * 2.0};
+    fields[2] = Value{static_cast<double>(i) - 0.5};
+    arr->elems.push_back(Object::make(intern_class("Tri"), fields));
   }
   return arr;
 }
@@ -150,13 +147,13 @@ TEST(Packing, CodecInstanceWiseRoundTrip) {
   codec.unpack(buffer, receiver);
   EXPECT_EQ(as_int(receiver.get("count")), 5);
   const auto& arr =
-      std::get<std::shared_ptr<ArrayVal>>(receiver.get("tris"));
+      std::get<ArrayRef>(receiver.get("tris"));
   ASSERT_EQ(arr->elems.size(), 5u);
-  const auto& obj = std::get<std::shared_ptr<Object>>(arr->elems[3]);
-  EXPECT_NEAR(as_double(obj->fields[0]), 3.25, 1e-6);
-  EXPECT_NEAR(as_double(obj->fields[1]), 6.0, 1e-6);
+  const auto& obj = std::get<ObjectRef>(arr->elems[3]);
+  EXPECT_NEAR(as_double(obj->field(0)), 3.25, 1e-6);
+  EXPECT_NEAR(as_double(obj->field(1)), 6.0, 1e-6);
   // val was not packed: default-initialized.
-  EXPECT_DOUBLE_EQ(as_double(obj->fields[2]), 0.0);
+  EXPECT_DOUBLE_EQ(as_double(obj->field(2)), 0.0);
 }
 
 TEST(Packing, CodecSymbolicSectionResolved) {
@@ -181,7 +178,7 @@ TEST(Packing, CodecSymbolicSectionResolved) {
   Env receiver;
   codec.unpack(buffer, receiver);
   const auto& arr =
-      std::get<std::shared_ptr<ArrayVal>>(receiver.get("tris"));
+      std::get<ArrayRef>(receiver.get("tris"));
   EXPECT_EQ(arr->elems.size(), 3u);  // only [0:nsel-1] transmitted
 }
 
@@ -208,11 +205,11 @@ TEST(Packing, CodecBaseShiftedSections) {
   Env receiver;
   codec.unpack(buffer, receiver);
   const auto& arr =
-      std::get<std::shared_ptr<ArrayVal>>(receiver.get("tris"));
+      std::get<ArrayRef>(receiver.get("tris"));
   EXPECT_EQ(arr->base_index, 8);
   ASSERT_EQ(arr->elems.size(), 4u);
-  const auto& obj = std::get<std::shared_ptr<Object>>(arr->elems[0]);
-  EXPECT_NEAR(as_double(obj->fields[0]), 8.25, 1e-6);  // element 8
+  const auto& obj = std::get<ObjectRef>(arr->elems[0]);
+  EXPECT_NEAR(as_double(obj->field(0)), 8.25, 1e-6);  // element 8
 }
 
 TEST(Packing, CodecWholeCollectionFallback) {
@@ -229,7 +226,7 @@ TEST(Packing, CodecWholeCollectionFallback) {
   Env receiver;
   codec.unpack(buffer, receiver);
   const auto& arr =
-      std::get<std::shared_ptr<ArrayVal>>(receiver.get("tris"));
+      std::get<ArrayRef>(receiver.get("tris"));
   EXPECT_EQ(arr->elems.size(), 7u);
 }
 
@@ -287,17 +284,13 @@ ClassRegistry make_nested_registry() {
   return registry;
 }
 
-std::shared_ptr<ArrayVal> make_parts(int n) {
-  auto arr = std::make_shared<ArrayVal>();
+ArrayRef make_parts(int n) {
+  ArrayRef arr = ArrayVal::make();
   for (int i = 0; i < n; ++i) {
-    auto pos = std::make_shared<Object>();
-    pos->class_name = "Vec";
-    pos->fields = {Value{static_cast<double>(i) + 0.5},
-                   Value{static_cast<double>(i) * 3.0}};
-    auto obj = std::make_shared<Object>();
-    obj->class_name = "Part";
-    obj->fields = {Value{pos}, Value{std::int64_t{i * 7}}};
-    arr->elems.push_back(obj);
+    ObjectRef pos = Object::make(intern_class("Vec"), {Value{static_cast<double>(i) + 0.5},
+                                                       Value{static_cast<double>(i) * 3.0}});
+    arr->elems.push_back(
+        Object::make(intern_class("Part"), {Value{pos}, Value{std::int64_t{i * 7}}}));
   }
   return arr;
 }
@@ -353,8 +346,8 @@ TEST(CompiledPlan, NestedChainResolvesThroughRegistry) {
   ASSERT_TRUE(plan.eligible);
   EXPECT_EQ(plan.stride, 12u);  // double + int32
   ASSERT_EQ(plan.leaves[0].chain.size(), 2u);
-  ASSERT_EQ(plan.leaves[0].nested.size(), 1u);
-  EXPECT_EQ(plan.leaves[0].nested[0]->name, "Vec");
+  ASSERT_EQ(plan.leaves[0].nested_skeletons.size(), 1u);
+  EXPECT_EQ(*plan.leaves[0].nested_skeletons[0].name, "Vec");
 }
 
 /// Packs `env` twice — compiled plans on, then the interpreted reference —
@@ -394,11 +387,11 @@ TEST(CompiledPlan, InstanceWisePackMatchesInterpreted) {
       registry, layout, sender,
       [](const std::string&) { return std::nullopt; }, [](Env& env) {
         const auto& arr =
-            std::get<std::shared_ptr<ArrayVal>>(env.get("tris"));
+            std::get<ArrayRef>(env.get("tris"));
         ASSERT_EQ(arr->elems.size(), 6u);
-        const auto& obj = std::get<std::shared_ptr<Object>>(arr->elems[4]);
-        EXPECT_NEAR(as_double(obj->fields[0]), 4.25, 1e-6);
-        EXPECT_NEAR(as_double(obj->fields[1]), 8.0, 1e-6);
+        const auto& obj = std::get<ObjectRef>(arr->elems[4]);
+        EXPECT_NEAR(as_double(obj->field(0)), 4.25, 1e-6);
+        EXPECT_NEAR(as_double(obj->field(1)), 8.0, 1e-6);
       });
 }
 
@@ -424,11 +417,11 @@ TEST(CompiledPlan, FieldWisePackMatchesInterpreted) {
       registry, layout, sender,
       [](const std::string&) { return std::nullopt; }, [](Env& env) {
         const auto& arr =
-            std::get<std::shared_ptr<ArrayVal>>(env.get("tris"));
+            std::get<ArrayRef>(env.get("tris"));
         ASSERT_EQ(arr->elems.size(), 8u);
-        const auto& obj = std::get<std::shared_ptr<Object>>(arr->elems[7]);
-        EXPECT_NEAR(as_double(obj->fields[0]), 7.25, 1e-6);
-        EXPECT_NEAR(as_double(obj->fields[2]), 6.5, 1e-6);
+        const auto& obj = std::get<ObjectRef>(arr->elems[7]);
+        EXPECT_NEAR(as_double(obj->field(0)), 7.25, 1e-6);
+        EXPECT_NEAR(as_double(obj->field(2)), 6.5, 1e-6);
       });
 }
 
@@ -446,12 +439,12 @@ TEST(CompiledPlan, NestedClassesMatchInterpreted) {
       registry, layout, sender,
       [](const std::string&) { return std::nullopt; }, [](Env& env) {
         const auto& arr =
-            std::get<std::shared_ptr<ArrayVal>>(env.get("parts"));
+            std::get<ArrayRef>(env.get("parts"));
         ASSERT_EQ(arr->elems.size(), 5u);
-        const auto& obj = std::get<std::shared_ptr<Object>>(arr->elems[3]);
-        const auto& pos = std::get<std::shared_ptr<Object>>(obj->fields[0]);
-        EXPECT_DOUBLE_EQ(as_double(pos->fields[1]), 9.0);
-        EXPECT_EQ(as_int(obj->fields[1]), 21);
+        const auto& obj = std::get<ObjectRef>(arr->elems[3]);
+        const auto& pos = std::get<ObjectRef>(obj->field(0));
+        EXPECT_DOUBLE_EQ(as_double(pos->field(1)), 9.0);
+        EXPECT_EQ(as_int(obj->field(1)), 21);
       });
 }
 
@@ -473,7 +466,7 @@ TEST(CompiledPlan, SectionedGroupMatchesInterpreted) {
       },
       [](Env& env) {
         const auto& arr =
-            std::get<std::shared_ptr<ArrayVal>>(env.get("tris"));
+            std::get<ArrayRef>(env.get("tris"));
         EXPECT_EQ(arr->base_index, 2);
         ASSERT_EQ(arr->elems.size(), 7u);  // [2 : 8]
       });
@@ -491,7 +484,7 @@ TEST(CompiledPlan, EmptyCollectionMatchesInterpreted) {
       registry, layout, sender,
       [](const std::string&) { return std::nullopt; }, [](Env& env) {
         const auto& arr =
-            std::get<std::shared_ptr<ArrayVal>>(env.get("tris"));
+            std::get<ArrayRef>(env.get("tris"));
         EXPECT_TRUE(arr->elems.empty());
       });
 }
@@ -507,7 +500,7 @@ TEST(CompiledPlan, NullElementFallsBackToInterpretedBytes) {
   PackingLayout layout = plan_packing(req, {req}, registry);
   Env sender;
   auto arr = make_tris(registry, 4);
-  arr->elems[2] = Value{std::shared_ptr<Object>{}};
+  arr->elems[2] = Value{ObjectRef{}};
   sender.declare("tris", arr);
   PacketCodec codec(registry, layout);
   dc::Buffer compiled;

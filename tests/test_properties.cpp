@@ -207,14 +207,11 @@ TEST_P(CodecProperty, RoundTripPreservesSectionContents) {
   registry.add(point);
 
   Rng rng(static_cast<std::uint64_t>(n) + 7);
-  auto arr = std::make_shared<ArrayVal>();
+  ArrayRef arr = ArrayVal::make();
   for (int i = 0; i < n; ++i) {
-    auto obj = std::make_shared<Object>();
-    obj->class_name = "P";
-    obj->fields = {
-        Value{static_cast<double>(static_cast<float>(rng.next_double()))},
-        Value{rng.next_int(-1000, 1000)}, Value{rng.next_double()}};
-    arr->elems.push_back(obj);
+    const Value a{static_cast<double>(static_cast<float>(rng.next_double()))};
+    const Value b{rng.next_int(-1000, 1000)};
+    arr->elems.push_back(Object::make(intern_class("P"), {a, b, Value{rng.next_double()}}));
   }
 
   const std::int64_t lo = rng.next_int(0, n - 1);
@@ -237,17 +234,17 @@ TEST_P(CodecProperty, RoundTripPreservesSectionContents) {
 
   Env receiver;
   codec.unpack(buffer, receiver);
-  const auto& out = std::get<std::shared_ptr<ArrayVal>>(receiver.get("ps"));
+  const auto& out = std::get<ArrayRef>(receiver.get("ps"));
   ASSERT_EQ(out->base_index, lo);
   ASSERT_EQ(static_cast<std::int64_t>(out->elems.size()), hi - lo + 1);
   for (std::int64_t i = lo; i <= hi; ++i) {
-    const auto& a = std::get<std::shared_ptr<Object>>(
+    const auto& a = std::get<ObjectRef>(
         arr->elems[static_cast<std::size_t>(i)]);
-    const auto& b = std::get<std::shared_ptr<Object>>(
+    const auto& b = std::get<ObjectRef>(
         out->elems[static_cast<std::size_t>(i - lo)]);
     for (int f = 0; f < 3; ++f) {
-      EXPECT_NEAR(as_double(a->fields[static_cast<std::size_t>(f)]),
-                  as_double(b->fields[static_cast<std::size_t>(f)]), 1e-6)
+      EXPECT_NEAR(as_double(a->field(static_cast<std::size_t>(f))),
+                  as_double(b->field(static_cast<std::size_t>(f))), 1e-6)
           << "element " << i << " field " << f;
     }
   }

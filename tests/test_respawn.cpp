@@ -40,6 +40,7 @@
 
 #include "datacutter/buffer.h"
 #include "datacutter/runner.h"
+#include "datacutter/runner_internal.h"
 #include "support/rng.h"
 
 namespace cgp::dc {
@@ -530,6 +531,64 @@ TEST(WorkerRespawnLapse, SilentWorkerIsLivenessKilledAndResurrected) {
                r.cause.find("heartbeat lapse") != std::string::npos;
       }))
       << outcome.stats.respawns[0].cause;
+}
+
+// ---------------------------------------------------------------------------
+// The lapse verdict: the monitor kills a silent worker only when the
+// silence is the worker's own.
+// ---------------------------------------------------------------------------
+
+TEST(WorkerLapseVerdict, StatStateParsesAfterTheCommandNamesLastParen) {
+  EXPECT_EQ(detail::proc_stat_state("4242 (cgp_worker) R 1 4242 4242 0 -1"), 'R');
+  EXPECT_EQ(detail::proc_stat_state("4242 (a b) S 1 2 3"), 'S');
+  // A command name may hold spaces and ')' itself, even ") R ".
+  EXPECT_EQ(detail::proc_stat_state("4242 (evil) R (x)) T 1 2 3"), 'T');
+  EXPECT_EQ(detail::proc_stat_state("4242 (x) R) D 1"), 'D');
+  EXPECT_EQ(detail::proc_stat_state("4242 (x)"), '?');
+  EXPECT_EQ(detail::proc_stat_state(""), '?');
+}
+
+TEST(WorkerLapseVerdict, KillsOnlyWhenTheSilenceIsTheWorkersOwn) {
+  const double lapse_after = 0.05;
+  detail::LapseEvidence wedged;
+  wedged.silent_seconds = 0.2;
+  wedged.task_stats = {"10 (w) S 1", "11 (w hb) S 1", "12 (w) D 1"};
+  EXPECT_TRUE(detail::lapse_is_workers_own(wedged, lapse_after));
+
+  detail::LapseEvidence stopped = wedged;  // SIGSTOP: every thread T
+  stopped.task_stats = {"10 (w) T 1", "11 (w hb) T 1"};
+  EXPECT_TRUE(detail::lapse_is_workers_own(stopped, lapse_after));
+
+  detail::LapseEvidence gone = wedged;  // no /proc entry left
+  gone.task_stats.clear();
+  EXPECT_TRUE(detail::lapse_is_workers_own(gone, lapse_after));
+
+  detail::LapseEvidence recent = wedged;
+  recent.silent_seconds = 0.04;
+  EXPECT_FALSE(detail::lapse_is_workers_own(recent, lapse_after));
+
+  // The supervisor still holds beats it has not read.
+  detail::LapseEvidence piped = wedged;
+  piped.unread_status_bytes = 41;
+  EXPECT_FALSE(detail::lapse_is_workers_own(piped, lapse_after));
+  detail::LapseEvidence held = wedged;
+  held.reader_holds_beats = true;
+  EXPECT_FALSE(detail::lapse_is_workers_own(held, lapse_after));
+  detail::LapseEvidence reading = wedged;  // the reader is not parked
+  reading.reader_stat = "77 (cgp supervisor) R 1 2";
+  EXPECT_FALSE(detail::lapse_is_workers_own(reading, lapse_after));
+  detail::LapseEvidence parked = wedged;
+  parked.reader_stat = "77 (cgp supervisor) S 1 2";
+  EXPECT_TRUE(detail::lapse_is_workers_own(parked, lapse_after));
+
+  // A runnable thread waits for a CPU or a quota; the name's ") R" in a
+  // blocked thread's line does not count.
+  detail::LapseEvidence starved = wedged;
+  starved.task_stats = {"10 (w) S 1", "11 (w hb) R 1"};
+  EXPECT_FALSE(detail::lapse_is_workers_own(starved, lapse_after));
+  detail::LapseEvidence named = wedged;
+  named.task_stats = {"10 (w) R (x)) S 1"};
+  EXPECT_TRUE(detail::lapse_is_workers_own(named, lapse_after));
 }
 
 }  // namespace

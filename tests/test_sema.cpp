@@ -305,6 +305,67 @@ TEST(Sema, MissingReturnAcceptsBodiesThatCannotCompleteNormally) {
   EXPECT_FALSE(run.had_errors) << run.diagnostics;
 }
 
+TEST(Sema, JumpsOutsideAMethodsOwnLoopsRejectedWithLocation) {
+  // Each `break`/`continue` sits in a method body whose innermost
+  // enclosing loop is not a while, for or foreach of it; the error points
+  // at the jump.
+  const std::vector<std::string> bodies = {
+      "{ if (x > 0) { x = 1; } { break; } }",
+      "{ if (x > 0) { x = 1; } { continue; } }",
+      "{ if (x > 0) { x = 1; } { if (x > 1) { break; } } }",
+  };
+  for (const std::string& body : bodies) {
+    const std::string source = "class A { void f(int x) " + body + " }";
+    const std::size_t jump = std::min(source.find("break"), source.find("continue"));
+    SemaRun run = run_sema(source);
+    EXPECT_TRUE(run.had_errors) << body;
+    EXPECT_NE(run.diagnostics.find("1:" + std::to_string(jump + 1) + ": error [sema] '"),
+              std::string::npos)
+        << body << "\n"
+        << run.diagnostics;
+    EXPECT_NE(run.diagnostics.find("outside a while, for or foreach loop"), std::string::npos)
+        << run.diagnostics;
+  }
+  // The PipelinedLoop is not such a loop, even inside one.
+  SemaRun piped = run_sema(R"(
+    class A {
+      void main() {
+        int total = 0;
+        while (total < 10) {
+          PipelinedLoop (p in [0 : 7]) {
+            total = total + p;
+            if (p == 3) { break; }
+          }
+        }
+      }
+    }
+  )");
+  EXPECT_TRUE(piped.had_errors);
+  EXPECT_NE(piped.diagnostics.find("8:27: error [sema] 'break' outside a while, for or foreach loop"),
+            std::string::npos)
+      << piped.diagnostics;
+}
+
+TEST(Sema, JumpsInsideLoopsAccepted) {
+  SemaRun run = run_sema(R"(
+    class A {
+      int f(int x) {
+        while (x > 0) { if (x == 5) { break; } x = x - 1; }
+        for (int i = 0; i < x; i++) { if (i == 2) { continue; } }
+        foreach (i in [0 : x]) { { if (i == 1) { break; } } }
+        return x;
+      }
+      void main() {
+        PipelinedLoop (p in [0 : 7]) {
+          foreach (i in [0 : p]) { if (i == 2) { continue; } }
+          for (int k = 0; k < p; k++) { while (k > 3) { break; } }
+        }
+      }
+    }
+  )");
+  EXPECT_FALSE(run.had_errors) << run.diagnostics;
+}
+
 TEST(Sema, AllAppSourcesTypeCheck) {
   // The four paper applications plus the tutorial must be clean.
   // (Sources are exercised end-to-end elsewhere; this isolates sema.)
