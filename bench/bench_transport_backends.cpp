@@ -1,14 +1,13 @@
 // Cross-backend transport bench (ISSUE: multi-process transport): the same
-// source -> relay -> sink byte pipeline timed on all three execution
-// substrates — in-process queues (thread), forked workers over
-// shared-memory rings (proc), and forked workers over loopback TCP
-// sockets (tcp) — across payload x batch, plus the v7 wire telemetry
-// (frames, raw wire bytes) each run reported.
+// source -> relay -> sink byte pipeline timed on both execution
+// substrates — in-process queues (thread) and forked workers over
+// shared-memory rings (proc) — across payload x batch, plus the v7 wire
+// telemetry (frames, raw wire bytes) each run reported.
 //
 // Two sweeps run. The "raw" sweep moves empty-handed buffers and so
 // measures pure transport overhead: thread passes pointers while proc
-// and tcp must serialize and copy every byte, so the gap there is the
-// honest cost of crossing a process boundary (reported, never gated).
+// must serialize and copy every byte, so the gap there is the honest
+// cost of crossing a process boundary (reported, never gated).
 // The "compute" sweep gives the relay per-buffer work comparable to the
 // real app filters; that is the configuration the ISSUE gates, because
 // it measures what a user actually sees when picking a backend for a
@@ -20,9 +19,7 @@
 // thread backend's throughput on any compute cell with batch >= 16 —
 // batching is exactly what amortizes the per-frame wakeup, so a
 // regression there means the ring or the frame codec got slower, not
-// the workload. The tcp rows are reported but not gated: loopback TCP
-// pays two kernel crossings per frame and its floor is
-// environment-dependent.
+// the workload.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -178,9 +175,8 @@ Cell run_cell(TransportBackend backend, bool compute, std::size_t payload,
 
 const std::size_t kPayloads[] = {64, 4096};
 const std::size_t kBatches[] = {1, 16, 64};
-const TransportBackend kBackends[] = {
-    TransportBackend::kThread, TransportBackend::kProc,
-    TransportBackend::kTcp};
+const TransportBackend kBackends[] = {TransportBackend::kThread,
+                                      TransportBackend::kProc};
 
 void backend_sweep(bool compute, std::vector<Cell>& cells) {
   std::printf(

@@ -1,9 +1,9 @@
 // MTTR bench for self-healing multi-process runs (docs/ROBUSTNESS.md,
-// self-healing runs): a source -> adder -> sink pipeline on loopback TCP
-// at batch 16 takes exactly one mid-run SIGKILL to its adder worker per
-// repeat; the supervisor must detect the death, quiesce the links,
-// re-fork the topology, roll back to the last in-memory consistent cut,
-// and replay the tail. The measured figure is the runtime's own
+// self-healing runs): a source -> adder -> sink pipeline on the proc
+// backend at batch 16 takes exactly one mid-run SIGKILL to its adder
+// worker per repeat; the supervisor must detect the death, quiesce the
+// links, re-fork the topology, roll back to the last in-memory consistent
+// cut, and replay the tail. The measured figure is the runtime's own
 // RespawnRecord::mttr_seconds — death detection to completed handshake —
 // best of kRepeats, because MTTR is a latency floor (scheduler noise only
 // ever inflates it).
@@ -12,7 +12,7 @@
 // oracle: a fast respawn that loses or double-counts a packet is a bug,
 // not a result. Emits BENCH_respawn.json (schema cgpipe-bench-respawn-v1)
 // for the CI bench-smoke artifact and exits nonzero when the best MTTR
-// reaches kMttrBarSeconds (250 ms on loopback at batch 16).
+// reaches kMttrBarSeconds (250 ms at batch 16).
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -161,7 +161,7 @@ bool run_repeat(int rep, Repeat& out) {
   config.stream_capacity = kStreamCapacity;
   config.batch_size = kBatch;
   config.checkpoint_interval = kCutInterval;  // in-memory cuts only
-  config.backend = TransportBackend::kTcp;
+  config.backend = TransportBackend::kProc;
   config.worker_restarts = 2;
   config.heartbeat_seconds = 0.01;
   FaultPolicy policy;
@@ -204,7 +204,7 @@ bool run_repeat(int rep, Repeat& out) {
 
 int main() {
   std::printf(
-      "=== worker-respawn MTTR (tcp loopback, %d packets, batch %zu, cut "
+      "=== worker-respawn MTTR (proc, %d packets, batch %zu, cut "
       "every %zu, best of %d) ===\n",
       kPackets, kBatch, kCutInterval, kRepeats);
   std::printf("%-8s %12s %12s %12s %8s  %s\n", "repeat", "mttr(ms)",
@@ -241,7 +241,7 @@ int main() {
   support::Json::Object root;
   root.emplace_back("schema", support::Json("cgpipe-bench-respawn-v1"));
   root.emplace_back("pipeline", support::Json("src->mid->sink"));
-  root.emplace_back("backend", support::Json("tcp"));
+  root.emplace_back("backend", support::Json("proc"));
   root.emplace_back("packets", support::Json(kPackets));
   root.emplace_back("batch_size", support::Json(kBatch));
   root.emplace_back("checkpoint_interval", support::Json(kCutInterval));

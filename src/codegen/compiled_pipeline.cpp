@@ -148,18 +148,6 @@ bool scalar_pure(const Expr& expr) {
   }
 }
 
-void write_string(dc::Buffer& out, const std::string& s) {
-  out.write<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-  out.write_bytes(s.data(), s.size());
-}
-
-std::string read_string(dc::Buffer& in) {
-  std::uint32_t n = in.read<std::uint32_t>();
-  std::string s(n, '\0');
-  in.read_bytes(s.data(), n);
-  return s;
-}
-
 /// Resolves path "a.b.c" against an Env (for len() symbols).
 std::optional<Value> lookup_path(Env& env, const ClassRegistry& registry,
                                  const std::string& path) {
@@ -510,7 +498,7 @@ void StageFilter::handle_replica_buffer(dc::Buffer& in,
   std::vector<std::pair<std::string, Value>> incoming;
   incoming.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = read_string(in);
+    std::string name = in.read_string();
     incoming.emplace_back(std::move(name), read_value(in));
   }
   for (auto& [name, value] : incoming) {
@@ -672,7 +660,7 @@ void StageFilter::finalize(dc::FilterContext& ctx) {
     out.write<std::uint8_t>(static_cast<std::uint8_t>(BufferKind::Replica));
     out.write<std::uint32_t>(static_cast<std::uint32_t>(replica_names_.size()));
     for (const std::string& name : replica_names_) {
-      write_string(out, name);
+      out.write_string(name);
       write_value(out, env_.get(name));
     }
     interp_.add_external_ops(pack_cost_.ops_per_buffer +
@@ -712,13 +700,13 @@ bool StageFilter::snapshot_state(dc::Buffer& out) {
   const std::map<std::string, Value> bindings = env_.flatten();
   out.write<std::uint32_t>(static_cast<std::uint32_t>(bindings.size()));
   for (const auto& [name, value] : bindings) {
-    write_string(out, name);
+    out.write_string(name);
     write_value(out, value);
   }
   // replica_names_ grows at runtime (handle_replica_buffer adopts upstream
   // replicas), so it must ride along with the bindings.
   out.write<std::uint32_t>(static_cast<std::uint32_t>(replica_names_.size()));
-  for (const std::string& name : replica_names_) write_string(out, name);
+  for (const std::string& name : replica_names_) out.write_string(name);
   out.write<std::int64_t>(packets_seen_);
   return true;
 }
@@ -726,7 +714,7 @@ bool StageFilter::snapshot_state(dc::Buffer& out) {
 void StageFilter::restore_state(dc::Buffer& in) {
   const std::uint32_t n_bindings = in.read<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_bindings; ++i) {
-    std::string name = read_string(in);
+    std::string name = in.read_string();
     Value value = read_value(in);
     env_.declare_global(name, std::move(value));
   }
@@ -734,7 +722,7 @@ void StageFilter::restore_state(dc::Buffer& in) {
   const std::uint32_t n_replicas = in.read<std::uint32_t>();
   replica_names_.reserve(n_replicas);
   for (std::uint32_t i = 0; i < n_replicas; ++i)
-    replica_names_.push_back(read_string(in));
+    replica_names_.push_back(in.read_string());
   packets_seen_ = in.read<std::int64_t>();
 }
 

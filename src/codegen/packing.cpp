@@ -42,18 +42,6 @@ void split_elementwise(const ValueId& id, std::string& collection_path,
                     id.steps.end());
 }
 
-void write_string(dc::Buffer& out, const std::string& s) {
-  out.write<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-  out.write_bytes(s.data(), s.size());
-}
-
-std::string read_string(dc::Buffer& in) {
-  std::uint32_t n = in.read<std::uint32_t>();
-  std::string s(n, '\0');
-  in.read_bytes(s.data(), n);
-  return s;
-}
-
 }  // namespace
 
 std::string PackingLayout::to_string() const {
@@ -715,8 +703,8 @@ void PacketCodec::pack_group_impl(const PackGroup& group, Env& env,
   // offset: a receiver can skip a group it does not consume).
   std::size_t size_slot = out.reserve_slot<std::uint64_t>();
   const std::size_t group_start = out.size();
-  write_string(out, group.collection);
-  write_string(out, elem_class);
+  out.write_string(group.collection);
+  out.write_string(elem_class);
   out.write<std::uint8_t>(group.instancewise ? 1 : 0);
   out.write<std::int64_t>(lo);
   out.write<std::int64_t>(count);
@@ -830,8 +818,8 @@ void PacketCodec::unpack_group_impl(const PackGroup& group, dc::Buffer& in,
   const std::uint64_t block_size =
       in.read<std::uint64_t>();  // group byte size (skip offset)
   const std::size_t group_start = in.read_pos();
-  std::string collection = read_string(in);
-  std::string elem_class = read_string(in);
+  std::string collection = in.read_string();
+  std::string elem_class = in.read_string();
   std::uint8_t instancewise = in.read<std::uint8_t>();
   std::int64_t lo = in.read<std::int64_t>();
   std::int64_t count = in.read<std::int64_t>();

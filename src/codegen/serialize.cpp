@@ -23,18 +23,6 @@ enum class Tag : std::uint8_t {
   ByteArrayRaw = 12,   // byte-typed array: 1 byte/element
 };
 
-void write_string(dc::Buffer& out, const std::string& s) {
-  out.write<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-  out.write_bytes(s.data(), s.size());
-}
-
-std::string read_string(dc::Buffer& in) {
-  std::uint32_t n = in.read<std::uint32_t>();
-  std::string s(n, '\0');
-  in.read_bytes(s.data(), n);
-  return s;
-}
-
 bool all_ints(const ArrayVal& arr) {
   for (const Value& v : arr.elems)
     if (!std::holds_alternative<std::int64_t>(v)) return false;
@@ -72,7 +60,7 @@ void write_value(dc::Buffer& out, const Value& value) {
         return;
       }
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::String));
-      write_string(out, s->value);
+      out.write_string(s->value);
     }
     void operator()(const ObjectRef& obj) {
       if (!obj) {
@@ -80,7 +68,7 @@ void write_value(dc::Buffer& out, const Value& value) {
         return;
       }
       out.write<std::uint8_t>(static_cast<std::uint8_t>(Tag::Object));
-      write_string(out, obj->class_name());
+      out.write_string(obj->class_name());
       out.write<std::uint32_t>(static_cast<std::uint32_t>(obj->fields().size()));
       for (const Value& f : obj->fields()) write_value(out, f);
     }
@@ -159,9 +147,9 @@ Value read_value(dc::Buffer& in) {
     case Tag::Bool:
       return in.read<std::uint8_t>() != 0;
     case Tag::String:
-      return make_string(read_string(in));
+      return make_string(in.read_string());
     case Tag::Object: {
-      const ClassName cls = intern_class(read_string(in));
+      const ClassName cls = intern_class(in.read_string());
       std::uint32_t n = in.read<std::uint32_t>();
       std::vector<Value> fields;
       fields.reserve(n);

@@ -41,11 +41,8 @@ TransportCostSpec transport_cost_spec(std::string_view backend) {
   // Calibrated against bench_transport_backends on the reference model:
   // proc pays ~0.15 abstract ops per payload byte per endpoint (one memcpy
   // into the ring, one out, amortized alloc) and ~500 ops per frame (lock
-  // hand-off + condvar wakeup); tcp pays ~4x the per-byte cost (user-kernel
-  // copies both ways plus checksum) and ~4x the per-frame cost (two
-  // syscalls and loopback stack traversal per frame).
+  // hand-off + condvar wakeup).
   if (backend == "proc") return {0.15, 500.0};
-  if (backend == "tcp") return {0.6, 2000.0};
   return {};  // thread, or unknown: the paper's zero-cost link model
 }
 

@@ -92,11 +92,9 @@ struct TransportCostSpec {
   double ops_per_frame = 0.0;  // framing + wakeup per enqueue, per endpoint
 };
 
-/// Spec for a backend name ("thread" | "proc" | "tcp"); unknown names get
-/// the thread (zero-cost) spec so cost queries never throw.
-///   proc: two memcpys through a shared-memory ring plus a futex wakeup;
-///   tcp:  kernel socket copies and loopback TCP/IP stack traversal per
-///         frame — strictly costlier than proc in both terms.
+/// Spec for a backend name ("thread" | "proc"); unknown names get the
+/// thread (zero-cost) spec so cost queries never throw.
+///   proc: two memcpys through a shared-memory ring plus a futex wakeup.
 TransportCostSpec transport_cost_spec(std::string_view backend);
 
 }  // namespace cgp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -125,6 +124,50 @@ support::PipelineTrace detail::trace_skeleton(
   for (support::LinkMetrics& link : trace.link_metrics)
     link.transport = backend_name(config.backend);
   return trace;
+}
+
+detail::StallWatch::StallWatch(const std::vector<FilterGroup>& groups,
+                               double timeout_seconds,
+                               Clock::time_point start)
+    : groups_(groups),
+      timeout_seconds_(timeout_seconds),
+      start_(start),
+      last_progress_(groups.size(), -1),
+      stalled_since_(groups.size()),
+      stalled_(groups.size(), 0) {}
+
+std::optional<support::FaultRecord> detail::StallWatch::sample(
+    std::size_t gi, int live, int waiting, std::int64_t progress,
+    Clock::time_point now) {
+  if (fired_) return std::nullopt;
+  if (live <= 0) {
+    stalled_[gi] = 0;
+    return std::nullopt;
+  }
+  if (progress != last_progress_[gi] || waiting >= live) {
+    last_progress_[gi] = progress;
+    stalled_[gi] = 0;
+    return std::nullopt;
+  }
+  if (!stalled_[gi]) {
+    stalled_[gi] = 1;
+    stalled_since_[gi] = now;
+    return std::nullopt;
+  }
+  if (std::chrono::duration<double>(now - stalled_since_[gi]).count() <
+      timeout_seconds_)
+    return std::nullopt;
+  fired_ = true;
+  std::ostringstream msg;
+  msg << "watchdog: stage '" << groups_[gi].name << "' made no progress for "
+      << timeout_seconds_ << "s";
+  support::FaultRecord fault;
+  fault.group = groups_[gi].name;
+  fault.copy = -1;
+  fault.what = msg.str();
+  fault.resolution = support::FaultResolution::kWatchdog;
+  fault.at_seconds = seconds_since(start_);
+  return fault;
 }
 
 const char* FaultPolicy::action_name(FaultAction action) {
@@ -270,19 +313,10 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
   // Run teardown signal: wakes copies parked in retry backoff so an abort
   // never waits out an exponential-backoff sleep (see the backoff wait in
   // the supervisor loop).
-  std::mutex teardown_mutex;
-  std::condition_variable teardown_cv;
-  bool teardown = false;
-  auto signal_teardown = [&] {
-    {
-      std::lock_guard lock(teardown_mutex);
-      teardown = true;
-    }
-    teardown_cv.notify_all();
-  };
+  detail::TeardownLatch teardown;
   auto abort_all = [&] {
     for (const auto& stream : streams) stream->abort();
-    signal_teardown();
+    teardown.signal();
   };
 
   // One-time per-group notice when checkpointing is requested but the
@@ -313,10 +347,8 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
     drain_cut_records();
   };
 
-  // ---- watchdog ----------------------------------------------------------
-  std::atomic<bool> run_done{false};
-  std::mutex watchdog_mutex;
-  std::condition_variable watchdog_cv;
+  // ---- watchdog (detail::StallWatch) ------------------------------------
+  detail::TeardownLatch run_done;
   std::thread watchdog;
   if (policy_.stage_timeout_seconds > 0.0) {
     const double poll =
@@ -324,61 +356,24 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
             ? policy_.watchdog_poll_seconds
             : std::max(policy_.stage_timeout_seconds / 4.0, 0.001);
     watchdog = std::thread([&, poll] {
-      std::vector<std::int64_t> last_progress(n_groups, -1);
-      std::vector<Clock::time_point> stalled_since(n_groups);
-      std::vector<bool> stalled(n_groups, false);
-      std::unique_lock lock(watchdog_mutex);
-      while (!run_done.load(std::memory_order_relaxed)) {
-        watchdog_cv.wait_for(
-            lock, std::chrono::duration<double>(poll),
-            [&] { return run_done.load(std::memory_order_relaxed); });
-        if (run_done.load(std::memory_order_relaxed)) break;
+      detail::StallWatch watch(groups_, policy_.stage_timeout_seconds, start);
+      while (!run_done.wait_for(poll)) {
         const Clock::time_point now = Clock::now();
         for (std::size_t gi = 0; gi < n_groups; ++gi) {
-          const int alive = live[gi].load(std::memory_order_relaxed);
-          if (alive <= 0) {
-            stalled[gi] = false;
-            continue;
-          }
-          const std::int64_t progress =
-              runtimes[gi].progress.load(std::memory_order_relaxed);
-          const int waiting =
-              runtimes[gi].waiting.load(std::memory_order_relaxed);
-          // A copy parked in a stream wait is starved or backpressured,
-          // not hung; only flag stages that compute without moving data.
-          if (progress != last_progress[gi] || waiting >= alive) {
-            last_progress[gi] = progress;
-            stalled[gi] = false;
-            continue;
-          }
-          if (!stalled[gi]) {
-            stalled[gi] = true;
-            stalled_since[gi] = now;
-            continue;
-          }
-          if (std::chrono::duration<double>(now - stalled_since[gi]).count() <
-              policy_.stage_timeout_seconds)
-            continue;
-          std::ostringstream msg;
-          msg << "watchdog: stage '" << groups_[gi].name
-              << "' made no progress for " << policy_.stage_timeout_seconds
-              << "s";
-          support::FaultRecord fault;
-          fault.group = groups_[gi].name;
-          fault.copy = -1;
-          fault.what = msg.str();
-          fault.resolution = support::FaultResolution::kWatchdog;
-          fault.at_seconds = seconds_since(start);
+          std::optional<support::FaultRecord> fault = watch.sample(
+              gi, live[gi].load(std::memory_order_relaxed),
+              runtimes[gi].waiting.load(std::memory_order_relaxed),
+              runtimes[gi].progress.load(std::memory_order_relaxed), now);
+          if (!fault) continue;
+          const std::string what = fault->what;
           {
             std::lock_guard state_lock(state_mutex);
             stats.stage_metrics[gi].faults += 1;
           }
-          record_fault(std::move(fault));
-          set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
-                    msg.str());
+          record_fault(std::move(*fault));
+          set_error(std::make_exception_ptr(std::runtime_error(what)), what);
           abort_all();
-          run_done.store(true, std::memory_order_relaxed);
-          break;
+          return;
         }
       }
     });
@@ -406,12 +401,7 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
     world.record_fault = record_fault;
     world.set_error = set_error;
     world.abort_all = abort_all;
-    world.signal_teardown = signal_teardown;
-    world.backoff_wait = [&](double seconds) {
-      std::unique_lock lock(teardown_mutex);
-      teardown_cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                           [&] { return teardown; });
-    };
+    world.teardown = &teardown;
     world.submit_part = submit_part;
     world.register_terminal = register_terminal;
   }
@@ -427,11 +417,7 @@ RunOutcome PipelineRunner::run_threaded(bool run_ckpt) {
   }
   for (std::thread& t : threads) t.join();
   if (watchdog.joinable()) {
-    {
-      std::lock_guard lock(watchdog_mutex);
-      run_done.store(true, std::memory_order_relaxed);
-    }
-    watchdog_cv.notify_all();
+    run_done.signal();
     watchdog.join();
   }
   stats.wall_seconds = seconds_since(start);

@@ -137,15 +137,15 @@ struct RunnerConfig {
   const RunCheckpoint* resume = nullptr;
   /// Execution substrate (docs/PERFORMANCE.md, backend selection):
   /// kThread runs every stage group as threads of this process over
-  /// in-process queues; kProc and kTcp fork one worker process per
-  /// non-sink stage group and move packets through shared-memory rings or
-  /// loopback TCP sockets. The sink group always runs in the supervisor
-  /// process (its finals are in-memory results). A single-group pipeline
-  /// has no links and runs in-process under every backend. Markers,
-  /// checkpoint cuts, fault policies, and run telemetry flow through all
-  /// three; on the process backends the no-progress watchdog
-  /// (stage_timeout_seconds) additionally requires heartbeat_seconds > 0
-  /// so the supervisor can observe worker progress remotely.
+  /// in-process queues; kProc forks one worker process per non-sink stage
+  /// group and moves packets through shared-memory rings. The sink group
+  /// always runs in the supervisor process (its finals are in-memory
+  /// results). A single-group pipeline has no links and runs in-process
+  /// under every backend. Markers, checkpoint cuts, fault policies, and
+  /// run telemetry flow through both; on the process backend the
+  /// no-progress watchdog (stage_timeout_seconds) additionally requires
+  /// heartbeat_seconds > 0 so the supervisor can observe worker progress
+  /// remotely.
   TransportBackend backend = TransportBackend::kThread;
   /// Per-link shared-memory ring capacity in bytes (proc backend). Frames
   /// larger than the ring stream through in chunks; the ring bounds
@@ -251,8 +251,8 @@ class PipelineRunner {
   /// Thread backend: every group as threads of this process (historical
   /// path; also serves single-group pipelines under any backend).
   RunOutcome run_threaded(bool run_ckpt);
-  /// proc/tcp backends: one worker process per non-sink group, the sink
-  /// and the cut collector in this process (runner_proc.cpp).
+  /// proc backend: one worker process per non-sink group, the sink and
+  /// the cut collector in this process (runner_proc.cpp).
   RunOutcome run_multiprocess(bool run_ckpt);
 
   std::vector<FilterGroup> groups_;

@@ -336,7 +336,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
       // exempts the wait from the no-progress watchdog, exactly like a
       // blocked stream wait.
       world.runtime->waiting.fetch_add(1, std::memory_order_relaxed);
-      world.backoff_wait(backoff);
+      world.teardown->wait_for(backoff);
       world.runtime->waiting.fetch_sub(1, std::memory_order_relaxed);
     }
     backoff =
@@ -383,7 +383,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
     world.set_error(std::make_exception_ptr(std::runtime_error(msg.str())),
                     msg.str());
     if (input) input->drain();
-    world.signal_teardown();  // wake peers parked in retry backoff
+    world.teardown->signal();  // wake peers parked in retry backoff
   }
   copy_metrics.total_seconds = seconds_since(copy_start);
   copy_metrics.copies = 1;

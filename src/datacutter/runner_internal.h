@@ -1,13 +1,15 @@
 // Shared internals of the pipeline runner, split out so the thread backend
-// (runner.cpp) and the multi-process backends (runner_proc.cpp) run the
-// exact same per-copy supervisor and cut collector. A worker process hosts
-// one stage group: it builds a CopyWorld whose callbacks write control
-// messages to the supervisor process instead of touching shared state
-// directly, and runs the identical run_copy() the thread backend runs.
+// (runner.cpp) and the process backend (runner_proc.cpp) run the exact
+// same per-copy supervisor, cut collector, teardown latch and stall rule.
+// A worker process hosts one stage group: it builds a CopyWorld whose
+// callbacks write control messages to the supervisor process instead of
+// touching shared state directly, and runs the identical run_copy() the
+// thread backend runs.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -28,6 +30,61 @@ using Clock = std::chrono::steady_clock;
 inline double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+/// Run teardown signal: a flag behind a mutex and a condition variable.
+/// Once signaled it stays signaled, so a wait that starts after the
+/// signal returns at once.
+class TeardownLatch {
+ public:
+  void signal() {
+    {
+      std::lock_guard lock(mutex_);
+      signaled_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Sleeps up to `seconds`, returning early once signaled. True when the
+  /// latch is signaled.
+  bool wait_for(double seconds) {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                        [&] { return signaled_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool signaled_ = false;
+};
+
+/// The stage watchdog's no-progress rule, sampled by the thread runner's
+/// watchdog thread and by the process supervisor's reaper. A group is
+/// stalled while it has live copies, its progress counter stands still,
+/// and fewer than all of its live copies wait: a copy parked in a stream
+/// wait or a retry backoff is starved or backpressured, not hung. The
+/// watch fires once per run, on the first sample at least the timeout
+/// after the stall began.
+class StallWatch {
+ public:
+  StallWatch(const std::vector<FilterGroup>& groups, double timeout_seconds,
+             Clock::time_point start);
+
+  /// One sample of group `gi`'s counters at `now`. Returns the watchdog's
+  /// fault record, stamped against the run epoch, the one time it fires.
+  std::optional<support::FaultRecord> sample(std::size_t gi, int live,
+                                             int waiting,
+                                             std::int64_t progress,
+                                             Clock::time_point now);
+
+ private:
+  const std::vector<FilterGroup>& groups_;
+  const double timeout_seconds_;
+  const Clock::time_point start_;
+  std::vector<std::int64_t> last_progress_;
+  std::vector<Clock::time_point> stalled_since_;
+  std::vector<char> stalled_;
+  bool fired_ = false;
+};
 
 /// Everything one supervised copy needs from its surrounding run. The
 /// callbacks are the seams between execution substrates: in thread mode
@@ -50,11 +107,9 @@ struct CopyWorld {
   std::function<void(support::FaultRecord)> record_fault;
   std::function<void(std::exception_ptr, const std::string&)> set_error;
   std::function<void()> abort_all;
-  std::function<void()> signal_teardown;
-  /// Interruptible retry backoff: sleeps up to `seconds`, returning early
-  /// on run teardown. The caller brackets it with the runtime's waiting
-  /// counter so the watchdog treats it like a blocked stream wait.
-  std::function<void(double)> backoff_wait;
+  /// The run's teardown signal. Retry backoff waits on it, so an abort
+  /// wakes a copy instead of letting a parked retry delay the drain.
+  TeardownLatch* teardown = nullptr;
   /// Cut-collector seams (no-ops when run_ckpt is false).
   std::function<void(std::int64_t id, std::size_t gi, int copy,
                      std::vector<std::byte> state, bool usable,
@@ -82,7 +137,7 @@ void run_copy(const CopyWorld& world, int copy, Stream* input,
 /// Run-level consistent-cut collector (docs/ROBUSTNESS.md): accumulates
 /// one part per (group, copy) per cut id, persists each completed cut
 /// atomically, and emits the trace records. Thread-safe; lives in the
-/// supervisor (thread mode: this process; proc/tcp: the parent, fed by
+/// supervisor (thread mode: this process; proc: the parent, fed by
 /// control-channel messages from the workers).
 class CutCollector {
  public:
@@ -140,6 +195,47 @@ class CutCollector {
   std::map<std::pair<std::size_t, int>, Terminal> terminals_;
   std::vector<support::CheckpointRecord> records_;
 };
+
+/// What the supervisor tells each worker it is (the handshake plan): the
+/// stage plan (name, replica count), the transport geometry (stream
+/// capacity, batch size, pool depth, ring bytes), the heartbeat cadence,
+/// and the restore cut a self-healing attempt rolls back to (id + content
+/// digest; the cut's bytes are fork-inherited, so the handshake only has
+/// to prove both sides mean the same cut). The worker validates every
+/// field against its fork-inherited configuration: a mismatch means the
+/// supervisor and worker disagree about the run and the worker refuses to
+/// start.
+struct WorkerPlan {
+  std::uint64_t gi = 0;
+  std::uint64_t n_groups = 0;
+  std::string group_name;
+  std::int64_t copies = 0;
+  std::uint64_t stream_capacity = 0;
+  std::uint64_t batch_size = 0;
+  std::uint64_t pool_buffers_per_class = 0;
+  std::uint64_t checkpoint_interval = 0;
+  std::uint64_t ring_bytes = 0;
+  std::uint8_t run_ckpt = 0;
+  double heartbeat_seconds = 0.0;
+  // Run-relative epoch of this attempt's fork: the worker stamps its
+  // fault records against (now - run_elapsed) so timestamps stay
+  // comparable across self-healing attempts. Not validated.
+  double run_elapsed_seconds = 0.0;
+  std::int64_t restore_cut_id = -1;  // -1: fresh start, no restore
+  std::uint64_t restore_digest = 0;  // checkpoint_checksum of the cut
+};
+
+/// The plan for group `gi` under `config` (run_elapsed_seconds left 0):
+/// what the supervisor sends, and what a worker expects from what it
+/// inherited across fork.
+WorkerPlan plan_for(std::size_t gi, const std::vector<FilterGroup>& groups,
+                    const RunnerConfig& config, bool run_ckpt);
+
+/// The names of the fields on which a received plan disagrees with the
+/// expected one, in plan order ("group-index", "stage-name", ...,
+/// "restore-cut"); empty when the worker may start.
+std::vector<std::string> plan_mismatches(const WorkerPlan& plan,
+                                         const WorkerPlan& expected);
 
 /// What the supervisor knows about a worker whose heartbeats it has not
 /// read for `silent_seconds` (docs/ROBUSTNESS.md, "Heartbeats and

@@ -1,5 +1,9 @@
 #include "datacutter/transport.h"
 
+#include <errno.h>
+#include <sys/ioctl.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -41,8 +45,6 @@ const char* backend_name(TransportBackend backend) {
       return "thread";
     case TransportBackend::kProc:
       return "proc";
-    case TransportBackend::kTcp:
-      return "tcp";
   }
   return "thread";
 }
@@ -50,7 +52,6 @@ const char* backend_name(TransportBackend backend) {
 std::optional<TransportBackend> parse_backend(std::string_view name) {
   if (name == "thread") return TransportBackend::kThread;
   if (name == "proc") return TransportBackend::kProc;
-  if (name == "tcp") return TransportBackend::kTcp;
   return std::nullopt;
 }
 
@@ -78,6 +79,54 @@ void TransportCounters::merge(const TransportCounters& other) {
   send_wait_seconds += other.send_wait_seconds;
   recv_wait_seconds += other.recv_wait_seconds;
 }
+
+FdChannel::FdChannel(int fd) : fd_(fd) {}
+
+FdChannel::~FdChannel() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool FdChannel::write_all(const std::byte* src, std::size_t n) {
+  while (n > 0) {
+    if (aborted_.load(std::memory_order_relaxed)) return false;
+    const ssize_t written = ::write(fd_, src, n);
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      return false;  // EPIPE / EBADF after abort: peer gone
+    }
+    src += written;
+    n -= static_cast<std::size_t>(written);
+  }
+  return true;
+}
+
+std::ptrdiff_t FdChannel::read_some(std::byte* dst, std::size_t n) {
+  holding_.store(false, std::memory_order_release);
+  for (;;) {
+    if (aborted_.load(std::memory_order_relaxed)) return -1;
+    const ssize_t got = ::read(fd_, dst, n);
+    if (got > 0) holding_.store(true, std::memory_order_relaxed);
+    if (got >= 0) return got;
+    if (errno == EINTR) continue;
+    // A failed read reads as end-of-stream; a consumer that was mid-frame
+    // surfaces the truncation through the frame decoder.
+    return aborted_.load(std::memory_order_relaxed) ? -1 : 0;
+  }
+}
+
+std::size_t FdChannel::unread_bytes() const {
+  int queued = 0;
+  if (fd_ < 0 || ::ioctl(fd_, FIONREAD, &queued) < 0 || queued < 0) return 0;
+  return static_cast<std::size_t>(queued);
+}
+
+void FdChannel::close_write() {
+  if (write_closed_.exchange(true)) return;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+void FdChannel::abort() { aborted_.store(true); }
 
 Frame Frame::data(Buffer&& buffer) {
   Frame f;

@@ -1,24 +1,23 @@
 // Pluggable transport backends (docs/PERFORMANCE.md, backend selection).
 // The original DataCutter ran filters as processes over sockets; this layer
-// restores that execution substrate behind the existing Stream/batch/pool
-// API. A backend names where stage groups execute and how packets cross
-// group boundaries:
+// restores a process boundary behind the existing Stream/batch/pool API.
+// A backend names where stage groups execute and how packets cross group
+// boundaries:
 //
 //   thread  in-process bounded queues (the historical runtime; default)
 //   proc    one worker process per stage group on the same host, packets
 //           crossing through shared-memory byte rings with futex-backed
 //           process-shared wakeups (see shm_ring.h)
-//   tcp     the same process topology over length-prefixed loopback TCP
-//           sockets (see tcp_channel.h) — the multi-host wire format
 //
-// The proc and tcp backends share one frame codec: every cross-process hop
-// carries [u32 length][u8 kind][payload] frames over an opaque byte
+// Every cross-process hop, data ring or control pipe, carries one frame
+// codec: [u32 length][u8 kind][payload] frames over an opaque byte
 // channel, so framing bugs (torn prefixes, short reads, partial writes)
-// are testable once and fixed for both. Marker frames are always sent
-// alone — the marker-never-batched-with-data invariant of Stream holds on
-// the wire too.
+// are testable once. Marker frames are always sent alone — the
+// marker-never-batched-with-data invariant of Stream holds on the wire
+// too.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,11 +32,10 @@ namespace cgp::dc {
 enum class TransportBackend {
   kThread,  // in-process queues (default)
   kProc,    // worker processes + shared-memory rings
-  kTcp,     // worker processes + loopback TCP sockets
 };
 
 const char* backend_name(TransportBackend backend);
-/// Parses "thread" | "proc" | "tcp".
+/// Parses "thread" | "proc".
 std::optional<TransportBackend> parse_backend(std::string_view name);
 
 /// Options the multi-process backends do not honor. `flags_in_order`
@@ -72,7 +70,7 @@ struct TransportCounters {
 };
 
 /// Opaque byte-stream channel between two endpoints (a shared-memory ring
-/// or a socket). Writes are atomic only at the byte level — framing is the
+/// or a pipe). Writes are atomic only at the byte level — framing is the
 /// caller's job (see FrameCodec) — and a frame larger than the channel's
 /// internal capacity streams through in chunks, mirroring Stream's bounded
 /// batch overshoot: capacity bounds memory, never frame size.
@@ -90,6 +88,42 @@ class ByteChannel {
   /// Emergency teardown: unblocks both sides; reads return -1, writes
   /// false. Safe to call from any process that holds the channel.
   virtual void abort() = 0;
+};
+
+/// One pipe end behind the ByteChannel interface: the worker control
+/// plane. Full short-write/short-read handling (a write may accept fewer
+/// bytes than asked; a read may return any prefix — framing above must
+/// tolerate both).
+class FdChannel : public ByteChannel {
+ public:
+  explicit FdChannel(int fd);
+  ~FdChannel() override;
+  FdChannel(const FdChannel&) = delete;
+  FdChannel& operator=(const FdChannel&) = delete;
+
+  bool write_all(const std::byte* src, std::size_t n) override;
+  std::ptrdiff_t read_some(std::byte* dst, std::size_t n) override;
+  /// Closes the descriptor: a pipe end carries one direction, so closing
+  /// it is the peer's EOF.
+  void close_write() override;
+  /// Later reads return -1 and writes false.
+  void abort() override;
+
+  /// Bytes the kernel holds for this descriptor's next read (FIONREAD).
+  std::size_t unread_bytes() const;
+  /// Whether the reader may hold bytes it has read but not yet handled:
+  /// true from a read that returned data until the reader's next read.
+  /// Acquire: a reader seen back in its read has published what it
+  /// handled before.
+  bool reader_holds_bytes() const {
+    return holding_.load(std::memory_order_acquire);
+  }
+
+ private:
+  int fd_;
+  std::atomic<bool> aborted_{false};
+  std::atomic<bool> write_closed_{false};
+  std::atomic<bool> holding_{false};
 };
 
 // ---- frame codec ----------------------------------------------------------

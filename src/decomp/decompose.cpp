@@ -30,6 +30,13 @@ bool filter_parallel(const DecompositionInput& input, int i) {
   return i >= 0 && i < static_cast<int>(input.parallelizable.size()) &&
          input.parallelizable[static_cast<std::size_t>(i)];
 }
+
+/// Service power of a stage running `r` copies. A replica plan prices the
+/// stage at r compiler-chosen copies; without one (R = 1, or a placement
+/// with no plan) the environment's own `copies` knob sets the width.
+double stage_power(const ComputeUnit& unit, bool planned, int r) {
+  return planned ? replica_power(unit, r) : unit.effective_power();
+}
 }
 
 std::vector<int> Placement::cuts(int stages) const {
@@ -67,8 +74,6 @@ std::string Placement::to_string() const {
 // DP (Figure 3, with input movement charged on L_k before the first filter)
 // ---------------------------------------------------------------------------
 
-namespace {
-
 /// Replication-aware DP (DESIGN.md §6): T[i][j][r] = minimum amortized
 /// per-packet cost of completing f_1..f_i with the results of f_i resident
 /// on C_j running r transparent copies. Placing a filter on a replicated
@@ -76,11 +81,13 @@ namespace {
 /// stage with r copies charges (r-1) * replication_overhead_sec once per
 /// packet; r > 1 requires every filter on the stage to be classifier-
 /// approved, and the result stage C_m keeps r = 1 so the final bindings
-/// land on a single view node.
-DecompositionResult decompose_dp_replicated(const DecompositionInput& input) {
+/// land on a single view node. R = 1 is Figure 3's T[i][j] exactly.
+DecompositionResult decompose_dp(const DecompositionInput& input) {
+  assert(input.valid());
   const int F = input.filter_count();
   const int M = input.env.stages();
   const int R = std::max(1, input.max_replicas);
+  const bool planned = R > 1;
   const double link_oh = per_packet_batch_overhead(input) +
                          per_packet_checkpoint_overhead(input);
   const double rep_oh = input.replication_overhead_sec;
@@ -104,7 +111,7 @@ DecompositionResult decompose_dp_replicated(const DecompositionInput& input) {
 
   for (int r = 1; r <= cap(0); ++r) {
     T[at(0, 0, r)] =
-        input.source_io_ops / replica_power(input.env.units[0], r) +
+        input.source_io_ops / stage_power(input.env.units[0], planned, r) +
         (r - 1) * rep_oh;
     ++cells;
   }
@@ -140,7 +147,7 @@ DecompositionResult decompose_dp_replicated(const DecompositionInput& input) {
         if (r == 1 || parallel) {
           double prev = T[at(i - 1, j, r)];
           if (prev < kInf)
-            via_comp = prev + task / replica_power(unit, r);
+            via_comp = prev + task / stage_power(unit, planned, r);
         }
         double via_comm = kInf;
         int comm_prev = 1;
@@ -175,7 +182,6 @@ DecompositionResult decompose_dp_replicated(const DecompositionInput& input) {
   int i = F;
   int j = M - 1;
   int r = 1;
-  result.placement.replicas[static_cast<std::size_t>(j)] = r;
   while (i > 0) {
     if (from_comp[at(i, j, r)]) {
       result.placement.unit_of_filter[static_cast<std::size_t>(i - 1)] = j;
@@ -192,197 +198,78 @@ DecompositionResult decompose_dp_replicated(const DecompositionInput& input) {
     --j;
     result.placement.replicas[static_cast<std::size_t>(j)] = r;
   }
-  return result;
-}
-
-}  // namespace
-
-DecompositionResult decompose_dp(const DecompositionInput& input) {
-  assert(input.valid());
-  if (input.max_replicas > 1) return decompose_dp_replicated(input);
-  const int F = input.filter_count();   // n+1 atomic filters
-  const int M = input.env.stages();     // m computing units
-
-  // T[i][j]: filters 0..i-1 complete, current data resident on unit j.
-  // i = 0 means raw input resident on unit j.
-  std::vector<std::vector<double>> T(
-      static_cast<std::size_t>(F + 1),
-      std::vector<double>(static_cast<std::size_t>(M), kInf));
-  // choice[i][j]: true = "computed here" (came from T[i-1][j]).
-  std::vector<std::vector<bool>> from_comp(
-      static_cast<std::size_t>(F + 1),
-      std::vector<bool>(static_cast<std::size_t>(M), false));
-  std::size_t cells = 0;
-  const double link_oh = per_packet_batch_overhead(input) +
-                         per_packet_checkpoint_overhead(input);
-
-  T[0][0] = cost_comp(input.env.units[0], input.source_io_ops);
-  for (int j = 1; j < M; ++j) {
-    T[0][static_cast<std::size_t>(j)] =
-        T[0][static_cast<std::size_t>(j - 1)] +
-        cost_comm(input.env.links[static_cast<std::size_t>(j - 1)],
-                  input.input_bytes) +
-        link_oh;
-    ++cells;
-  }
-
-  for (int i = 1; i <= F; ++i) {
-    const double task = input.task_ops[static_cast<std::size_t>(i - 1)];
-    const double vol = input.boundary_bytes[static_cast<std::size_t>(i - 1)];
-    for (int j = 0; j < M; ++j) {
-      double via_comp =
-          T[static_cast<std::size_t>(i - 1)][static_cast<std::size_t>(j)];
-      if (via_comp < kInf) {
-        via_comp +=
-            cost_comp(input.env.units[static_cast<std::size_t>(j)], task);
-      }
-      double via_comm = kInf;
-      if (j > 0) {
-        double prev =
-            T[static_cast<std::size_t>(i)][static_cast<std::size_t>(j - 1)];
-        if (prev < kInf) {
-          via_comm = prev +
-                     cost_comm(
-                         input.env.links[static_cast<std::size_t>(j - 1)],
-                         vol) +
-                     link_oh;
-        }
-      }
-      const bool comp_wins = via_comp <= via_comm;
-      T[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          comp_wins ? via_comp : via_comm;
-      from_comp[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          comp_wins;
-      ++cells;
-    }
-  }
-
-  DecompositionResult result;
-  result.cost = T[static_cast<std::size_t>(F)][static_cast<std::size_t>(M - 1)];
-  result.cells_evaluated = cells;
-  result.placement.unit_of_filter.assign(static_cast<std::size_t>(F), 0);
-  // Backtrack.
-  int i = F;
-  int j = M - 1;
-  while (i > 0) {
-    if (from_comp[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) {
-      result.placement.unit_of_filter[static_cast<std::size_t>(i - 1)] = j;
-      --i;
-    } else {
-      --j;
-      assert(j >= 0);
-    }
-  }
+  // R = 1 leaves no replica plan: the runtime keeps the environment's
+  // per-unit copies, as the placement was priced.
+  if (!planned) result.placement.replicas.clear();
   return result;
 }
 
 double decompose_dp_cost_only(const DecompositionInput& input) {
   assert(input.valid());
-  if (input.max_replicas > 1) {
-    // Rolling (j, r) grid: O(m·R) live cells, same transitions as the
-    // full replicated table.
-    const int F = input.filter_count();
-    const int M = input.env.stages();
-    const int R = std::max(1, input.max_replicas);
-    const double link_oh = per_packet_batch_overhead(input) +
-                           per_packet_checkpoint_overhead(input);
-    const double rep_oh = input.replication_overhead_sec;
-    auto cap = [&](int j) { return j == M - 1 ? 1 : R; };
-    std::vector<std::vector<double>> row(
-        static_cast<std::size_t>(M),
-        std::vector<double>(static_cast<std::size_t>(R), kInf));
-    for (int r = 1; r <= cap(0); ++r) {
-      row[0][static_cast<std::size_t>(r - 1)] =
-          input.source_io_ops / replica_power(input.env.units[0], r) +
-          (r - 1) * rep_oh;
-    }
-    for (int j = 1; j < M; ++j) {
-      const Link& link = input.env.links[static_cast<std::size_t>(j - 1)];
-      for (int r = 1; r <= cap(j); ++r) {
-        double best = kInf;
-        for (int rp = 1; rp <= cap(j - 1); ++rp) {
-          double prev = row[static_cast<std::size_t>(j - 1)]
-                           [static_cast<std::size_t>(rp - 1)];
-          if (prev >= kInf) continue;
-          best = std::min(best, prev + cost_comm(link, input.input_bytes) +
-                                    link_oh + (r - 1) * rep_oh);
-        }
-        row[static_cast<std::size_t>(j)][static_cast<std::size_t>(r - 1)] =
-            best;
-      }
-    }
-    for (int i = 1; i <= F; ++i) {
-      const double task = input.task_ops[static_cast<std::size_t>(i - 1)];
-      const double vol = input.boundary_bytes[static_cast<std::size_t>(i - 1)];
-      const bool parallel = filter_parallel(input, i - 1);
-      for (int j = 0; j < M; ++j) {
-        const ComputeUnit& unit = input.env.units[static_cast<std::size_t>(j)];
-        for (int r = 1; r <= cap(j); ++r) {
-          double via_comp = kInf;
-          if (r == 1 || parallel) {
-            double prev = row[static_cast<std::size_t>(j)]
-                             [static_cast<std::size_t>(r - 1)];
-            if (prev < kInf) via_comp = prev + task / replica_power(unit, r);
-          }
-          double via_comm = kInf;
-          if (j > 0) {
-            const Link& link =
-                input.env.links[static_cast<std::size_t>(j - 1)];
-            for (int rp = 1; rp <= cap(j - 1); ++rp) {
-              // row[j-1] already holds T[i][j-1][*] (updated this sweep).
-              double prev = row[static_cast<std::size_t>(j - 1)]
-                               [static_cast<std::size_t>(rp - 1)];
-              if (prev >= kInf) continue;
-              via_comm = std::min(via_comm, prev + cost_comm(link, vol) +
-                                                link_oh + (r - 1) * rep_oh);
-            }
-          }
-          row[static_cast<std::size_t>(j)][static_cast<std::size_t>(r - 1)] =
-              std::min(via_comp, via_comm);
-        }
-      }
-    }
-    return row[static_cast<std::size_t>(M - 1)][0];
-  }
+  // Rolling (j, r) grid: O(m·R) live cells (§4.4 closing remark), same
+  // transitions as the full table.
   const int F = input.filter_count();
   const int M = input.env.stages();
-  // Rolling row: O(m) live cells (§4.4 closing remark).
+  const int R = std::max(1, input.max_replicas);
+  const bool planned = R > 1;
   const double link_oh = per_packet_batch_overhead(input) +
                          per_packet_checkpoint_overhead(input);
-  std::vector<double> row(static_cast<std::size_t>(M), kInf);
-  row[0] = cost_comp(input.env.units[0], input.source_io_ops);
+  const double rep_oh = input.replication_overhead_sec;
+  auto cap = [&](int j) { return j == M - 1 ? 1 : R; };
+  std::vector<std::vector<double>> row(
+      static_cast<std::size_t>(M),
+      std::vector<double>(static_cast<std::size_t>(R), kInf));
+  for (int r = 1; r <= cap(0); ++r) {
+    row[0][static_cast<std::size_t>(r - 1)] =
+        input.source_io_ops / stage_power(input.env.units[0], planned, r) +
+        (r - 1) * rep_oh;
+  }
   for (int j = 1; j < M; ++j) {
-    row[static_cast<std::size_t>(j)] =
-        row[static_cast<std::size_t>(j - 1)] +
-        cost_comm(input.env.links[static_cast<std::size_t>(j - 1)],
-                  input.input_bytes) +
-        link_oh;
+    const Link& link = input.env.links[static_cast<std::size_t>(j - 1)];
+    for (int r = 1; r <= cap(j); ++r) {
+      double best = kInf;
+      for (int rp = 1; rp <= cap(j - 1); ++rp) {
+        double prev = row[static_cast<std::size_t>(j - 1)]
+                         [static_cast<std::size_t>(rp - 1)];
+        if (prev >= kInf) continue;
+        best = std::min(best, prev + cost_comm(link, input.input_bytes) +
+                                  link_oh + (r - 1) * rep_oh);
+      }
+      row[static_cast<std::size_t>(j)][static_cast<std::size_t>(r - 1)] = best;
+    }
   }
   for (int i = 1; i <= F; ++i) {
     const double task = input.task_ops[static_cast<std::size_t>(i - 1)];
     const double vol = input.boundary_bytes[static_cast<std::size_t>(i - 1)];
+    const bool parallel = filter_parallel(input, i - 1);
     for (int j = 0; j < M; ++j) {
-      double via_comp = row[static_cast<std::size_t>(j)];
-      if (via_comp < kInf) {
-        via_comp +=
-            cost_comp(input.env.units[static_cast<std::size_t>(j)], task);
-      }
-      double via_comm = kInf;
-      if (j > 0) {
-        // row[j-1] already holds T[i][j-1] (updated this sweep).
-        double prev = row[static_cast<std::size_t>(j - 1)];
-        if (prev < kInf) {
-          via_comm = prev +
-                     cost_comm(
-                         input.env.links[static_cast<std::size_t>(j - 1)],
-                         vol) +
-                     link_oh;
+      const ComputeUnit& unit = input.env.units[static_cast<std::size_t>(j)];
+      for (int r = 1; r <= cap(j); ++r) {
+        double via_comp = kInf;
+        if (r == 1 || parallel) {
+          double prev = row[static_cast<std::size_t>(j)]
+                           [static_cast<std::size_t>(r - 1)];
+          if (prev < kInf)
+            via_comp = prev + task / stage_power(unit, planned, r);
         }
+        double via_comm = kInf;
+        if (j > 0) {
+          const Link& link = input.env.links[static_cast<std::size_t>(j - 1)];
+          for (int rp = 1; rp <= cap(j - 1); ++rp) {
+            // row[j-1] already holds T[i][j-1][*] (updated this sweep).
+            double prev = row[static_cast<std::size_t>(j - 1)]
+                             [static_cast<std::size_t>(rp - 1)];
+            if (prev >= kInf) continue;
+            via_comm = std::min(via_comm, prev + cost_comm(link, vol) +
+                                              link_oh + (r - 1) * rep_oh);
+          }
+        }
+        row[static_cast<std::size_t>(j)][static_cast<std::size_t>(r - 1)] =
+            std::min(via_comp, via_comm);
       }
-      row[static_cast<std::size_t>(j)] = std::min(via_comp, via_comm);
     }
   }
-  return row[static_cast<std::size_t>(M - 1)];
+  return row[static_cast<std::size_t>(M - 1)][0];
 }
 
 // ---------------------------------------------------------------------------
@@ -400,16 +287,15 @@ void placement_times(const DecompositionInput& input,
   // packets at replica_power(unit, r_s) and pays the per-packet replication
   // overhead for every extra copy.
   const bool planned = !placement.replicas.empty();
-  auto stage_power = [&](int s) {
-    const ComputeUnit& unit = input.env.units[static_cast<std::size_t>(s)];
-    return planned ? replica_power(unit, placement.replicas_of(s))
-                   : unit.effective_power();
+  auto power = [&](int s) {
+    return stage_power(input.env.units[static_cast<std::size_t>(s)], planned,
+                       placement.replicas_of(s));
   };
-  unit_times[0] = input.source_io_ops / stage_power(0);
+  unit_times[0] = input.source_io_ops / power(0);
   for (std::size_t i = 0; i < placement.unit_of_filter.size(); ++i) {
     int unit = placement.unit_of_filter[i];
     unit_times[static_cast<std::size_t>(unit)] +=
-        input.task_ops[i] / stage_power(unit);
+        input.task_ops[i] / power(unit);
   }
   if (planned) {
     for (int s = 0; s < M; ++s) {

@@ -131,7 +131,9 @@ struct DecompositionResult {
 /// and the result's placement carries the chosen per-stage replica plan
 /// (DESIGN.md §6). r > 1 is only feasible on stages whose filters are all
 /// flagged parallelizable, and the result stage C_m keeps r = 1. With
-/// max_replicas <= 1 the legacy table is computed bit-for-bit.
+/// max_replicas <= 1 the same table has one replica layer: each stage is
+/// priced at the environment's own `copies` and the placement carries no
+/// replica plan.
 DecompositionResult decompose_dp(const DecompositionInput& input);
 
 /// Space-optimized variant described at the end of §4.4: O(m) live cells

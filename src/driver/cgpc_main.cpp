@@ -27,11 +27,10 @@
 //                        backends this requires --heartbeat-ms, which is
 //                        how the supervisor samples worker progress
 //   --backend=B          execution substrate: thread (in-process queues,
-//                        default), proc (worker processes + shared-memory
-//                        rings), or tcp (worker processes + loopback TCP
-//                        sockets); see docs/PERFORMANCE.md. Also feeds the
+//                        default) or proc (worker processes + shared-memory
+//                        rings); see docs/PERFORMANCE.md. Also feeds the
 //                        cost model's per-link transport terms. The
-//                        process backends reject --fault-inject and
+//                        process backend rejects --fault-inject and
 //                        --fault-seed (see docs/ROBUSTNESS.md)
 //   --worker-restarts=N  self-healing (process backends): respawn a dead
 //                        worker process up to N times, rolling the run
@@ -188,7 +187,7 @@ int main(int argc, char** argv) {
         dc::parse_backend(name);
     if (!backend) {
       std::fprintf(stderr,
-                   "cgpc: unknown backend '%s' (thread | proc | tcp)\n",
+                   "cgpc: unknown backend '%s' (thread | proc)\n",
                    name);
       std::exit(2);
     }

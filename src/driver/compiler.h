@@ -35,8 +35,8 @@ struct CompileOptions {
   /// The 0-second default reproduces the paper's model exactly.
   double link_batch_overhead_sec = 0.0;
   std::size_t batch_size = 1;
-  /// Execution substrate the pipeline will run on ("thread" | "proc" |
-  /// "tcp"; docs/PERFORMANCE.md, backend selection). Folded into the cost
+  /// Execution substrate the pipeline will run on ("thread" | "proc";
+  /// docs/PERFORMANCE.md, backend selection). Folded into the cost
   /// model via transport_cost_spec: per-byte serialization shaves each
   /// link's effective bandwidth and per-frame overhead (amortized over
   /// batch_size) adds to its latency, so the decomposition sees that a

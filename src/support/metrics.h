@@ -91,8 +91,9 @@ struct LinkMetrics {
   /// spent blocked on an empty queue, summed over threads.
   double producer_block_seconds = 0.0;
   double consumer_block_seconds = 0.0;
-  /// Transport substrate of this link (trace v7): "thread" | "proc" |
-  /// "tcp". Empty in documents written before backend support.
+  /// Transport substrate of this link (trace v7): "thread" | "proc" (older
+  /// documents may say "tcp"). Empty in documents written before backend
+  /// support.
   std::string transport;
   /// Wire telemetry (trace v7), all zero on the thread backend where
   /// nothing is serialized: frames and raw bytes the sender put on the
@@ -191,7 +192,7 @@ struct CheckpointRecord {
   double at_seconds = 0.0;           // offset from run start
 };
 
-/// One worker-resurrection incident (trace v8): a proc/tcp worker process
+/// One worker-resurrection incident (trace v8): a proc worker process
 /// died organically (SIGKILL, crash, or supervisor liveness-kill after a
 /// heartbeat lapse) and the supervisor relaunched it from the last in-run
 /// consistent cut. MTTR spans reaper death detection to the respawned

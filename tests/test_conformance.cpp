@@ -360,27 +360,13 @@ void run_kill_resume_matrix(const apps::AppConfig& config,
 }
 
 /// Cross-backend matrix (ISSUE: multi-process transport): the same compiled
-/// pipeline under the Decomp placement on every execution substrate —
-/// in-process queues, forked workers over shared-memory rings, and forked
-/// workers over loopback TCP — across batch x capacity x replicas, each
-/// cell checked against the sequential oracle. Single-copy cells are
-/// byte-exact on every backend: crossing a process boundary must not
-/// perturb one bit of the delivered result. Multi-group cells on the
-/// process backends must also report wire telemetry (cgpipe-trace-v7) for
-/// the backend they actually ran on.
-/// CI splits the backend matrix by sanitizer lane: setting
-/// CGP_BACKEND_MATRIX="thread,proc" restricts which backends the
-/// *Backends tests cover (the TSan lane skips the tcp loopback cells,
-/// which run in the plain Release lane). Unset or empty covers all.
-bool backend_enabled(dc::TransportBackend backend) {
-  const char* filter = std::getenv("CGP_BACKEND_MATRIX");
-  if (!filter || !*filter) return true;
-  const std::string list = std::string(",") + filter + ",";
-  const std::string needle =
-      std::string(",") + dc::backend_name(backend) + ",";
-  return list.find(needle) != std::string::npos;
-}
-
+/// pipeline under the Decomp placement on both execution substrates —
+/// in-process queues and forked workers over shared-memory rings — across
+/// batch x capacity x replicas, each cell checked against the sequential
+/// oracle. Single-copy cells are byte-exact on both backends: crossing a
+/// process boundary must not perturb one bit of the delivered result.
+/// Multi-group cells on the process backend must also report wire
+/// telemetry (cgpipe-trace-v7) for the backend they actually ran on.
 void run_backend_matrix(const apps::AppConfig& config, const std::string& cls,
                         const std::vector<std::string>& result_keys,
                         const std::vector<std::string>& stage_local = {}) {
@@ -392,9 +378,7 @@ void run_backend_matrix(const apps::AppConfig& config, const std::string& cls,
     const EnvironmentSpec env = EnvironmentSpec::paper_cluster(copies);
     const double tol = copies == 1 ? 0.0 : 1e-9;
     for (dc::TransportBackend backend :
-         {dc::TransportBackend::kThread, dc::TransportBackend::kProc,
-          dc::TransportBackend::kTcp}) {
-      if (!backend_enabled(backend)) continue;
+         {dc::TransportBackend::kThread, dc::TransportBackend::kProc}) {
       for (std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
         for (std::size_t capacity : {std::size_t{1}, std::size_t{16}}) {
           dc::RunnerConfig transport;
@@ -595,7 +579,6 @@ TEST(Conformance, PartitionedSetupBackends) {
     const double tol = copies == 1 ? 0.0 : 1e-9;
     for (dc::TransportBackend backend :
          {dc::TransportBackend::kThread, dc::TransportBackend::kProc}) {
-      if (!backend_enabled(backend)) continue;
       for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
         dc::RunnerConfig transport;
         transport.backend = backend;

@@ -64,6 +64,30 @@ TEST(Buffer, BytesRoundTrip) {
   EXPECT_STREQ(out, payload);
 }
 
+TEST(Buffer, StringRoundTripIsU32LengthThenBytes) {
+  Buffer buffer;
+  buffer.write_string("cube");
+  buffer.write_string("");
+  ASSERT_EQ(buffer.size(), 2 * sizeof(std::uint32_t) + 4);
+  EXPECT_EQ(buffer.peek_at<std::uint32_t>(0), 4u);
+  EXPECT_EQ(buffer.read_string(), "cube");
+  EXPECT_EQ(buffer.read_string(), "");
+  EXPECT_TRUE(buffer.exhausted());
+}
+
+TEST(Buffer, OversizeStringLengthThrowsBeforeAllocating) {
+  // A torn length of 0xFFFFFFFF must be caught by the length check, not
+  // by read_bytes after a 4 GiB allocation.
+  Buffer buffer;
+  buffer.write<std::uint32_t>(0xFFFFFFFFu);
+  buffer.write_bytes("abc", 3);
+  EXPECT_THROW(buffer.read_string(), std::out_of_range);
+  Buffer short_by_one;
+  short_by_one.write<std::uint32_t>(4);
+  short_by_one.write_bytes("abc", 3);
+  EXPECT_THROW(short_by_one.read_string(), std::out_of_range);
+}
+
 TEST(Stream, FifoSingleProducer) {
   Stream stream(4);
   stream.set_producers(1);

@@ -227,7 +227,7 @@ TEST(Decomp, ReplicaPlanRespectsBudgetAndClassifier) {
 }
 
 TEST(Decomp, MaxReplicasOneReproducesLegacyExactly) {
-  // With the budget at 1 the replicated code path must not even engage:
+  // With the budget at 1 the replicated table reduces to Figure 3's:
   // identical placement, bit-identical cost, and no replica plan.
   Rng rng(515);
   for (int trial = 0; trial < 60; ++trial) {
@@ -243,6 +243,84 @@ TEST(Decomp, MaxReplicasOneReproducesLegacyExactly) {
     EXPECT_EQ(a.cost, b.cost) << "trial " << trial;  // bit-for-bit
     EXPECT_TRUE(a.placement.replicas.empty()) << "trial " << trial;
     EXPECT_TRUE(a.placement == b.placement) << "trial " << trial;
+  }
+}
+
+// Seeded R = 1 instance for the pinned DP values below. Every third one is
+// a uniform pipeline; the others are the paper's 2-2-1 and 4-4-1 clusters,
+// whose units carry copies > 1. Batching, checkpoint and replication
+// overheads are all nonzero (replication must not matter at R = 1).
+DecompositionInput pinned_dp_input(int trial) {
+  Rng rng(0x5eed0000u + static_cast<std::uint64_t>(trial));
+  DecompositionInput input;
+  switch (trial % 3) {
+    case 0:
+      input.env = EnvironmentSpec::uniform(
+          static_cast<int>(rng.next_int(2, 5)), rng.next_double(1e8, 1e9),
+          rng.next_double(1e7, 1e8), rng.next_double(0.0, 5e-5));
+      break;
+    case 1:
+      input.env = EnvironmentSpec::paper_cluster(2);
+      break;
+    default:
+      input.env = EnvironmentSpec::paper_cluster(4);
+      break;
+  }
+  const int n_filters = static_cast<int>(rng.next_int(1, 7));
+  for (int i = 0; i < n_filters; ++i) {
+    input.task_ops.push_back(rng.next_double(1e3, 1e6));
+    input.boundary_bytes.push_back(rng.next_double(1e2, 1e6));
+    input.parallelizable.push_back(rng.next_int(0, 1) ? 1 : 0);
+  }
+  input.input_bytes = rng.next_double(1e2, 1e6);
+  input.source_io_ops = rng.next_double(0.0, 1e5);
+  input.link_batch_overhead_sec = rng.next_double(1e-6, 1e-4);
+  input.batch_size = static_cast<double>(rng.next_int(1, 16));
+  input.checkpoint_snapshot_sec = rng.next_double(1e-6, 1e-3);
+  input.checkpoint_interval = static_cast<double>(rng.next_int(1, 32));
+  input.replication_overhead_sec = rng.next_double(0.0, 1e-4);
+  input.max_replicas = 1;
+  return input;
+}
+
+TEST(Decomp, UnreplicatedDpPinnedBitExact) {
+  // Placements and costs of the R = 1 DP, written down as hex floats when
+  // it still had its own unreplicated table; the replicated table serving
+  // R = 1 must reproduce every bit, full table and rolling grid alike.
+  struct Pin {
+    const char* placement;
+    double cost;
+  };
+  const Pin pins[] = {
+      {"[f1->C1 f2->C2 f3->C2]", 0x1.6a53226986cb6p-10},
+      {"[f1->C1 f2->C1 f3->C1 f4->C1 f5->C1 f6->C1]", 0x1.734b138180244p-8},
+      {"[f1->C1 f2->C1]", 0x1.94b7edc13a79dp-10},
+      {"[f1->C1 f2->C1 f3->C4]", 0x1.ee0e135b22669p-6},
+      {"[f1->C1 f2->C1 f3->C1 f4->C1 f5->C1 f6->C1]", 0x1.08f69f41a7488p-7},
+      {"[f1->C3 f2->C3 f3->C3]", 0x1.e7b1f017f3477p-8},
+      {"[f1->C2 f2->C2]", 0x1.0e8f4677f721ep-6},
+      {"[f1->C1 f2->C1 f3->C3 f4->C3 f5->C3]", 0x1.6e60862eb38b2p-7},
+      {"[f1->C3]", 0x1.84b3af071875cp-7},
+      {"[f1->C1 f2->C1 f3->C5 f4->C5 f5->C5 f6->C5]", 0x1.5a4e7be00018p-7},
+      {"[f1->C1 f2->C3 f3->C3 f4->C3]", 0x1.4b1f24355418fp-7},
+      {"[f1->C1 f2->C1 f3->C1 f4->C1 f5->C1 f6->C1]", 0x1.b590d8623d98fp-7},
+      {"[f1->C1]", 0x1.61b215d62d11ep-8},
+      {"[f1->C3 f2->C3 f3->C3]", 0x1.11b4bac2f5484p-8},
+      {"[f1->C1 f2->C1 f3->C3 f4->C3 f5->C3 f6->C3]", 0x1.abc70c7664059p-7},
+      {"[f1->C1 f2->C1 f3->C4 f4->C4]", 0x1.09f2294c092edp-4},
+      {"[f1->C1 f2->C1 f3->C1 f4->C1 f5->C1 f6->C2 f7->C2]",
+       0x1.4880c16f0d0c4p-7},
+      {"[f1->C1 f2->C3 f3->C3 f4->C3]", 0x1.2384389177d97p-7},
+  };
+  for (int trial = 0; trial < static_cast<int>(std::size(pins)); ++trial) {
+    const DecompositionInput input = pinned_dp_input(trial);
+    const DecompositionResult result = decompose_dp(input);
+    EXPECT_EQ(result.placement.to_string(), pins[trial].placement)
+        << "trial " << trial;
+    EXPECT_TRUE(result.placement.replicas.empty()) << "trial " << trial;
+    EXPECT_EQ(result.cost, pins[trial].cost) << "trial " << trial;
+    EXPECT_EQ(decompose_dp_cost_only(input), pins[trial].cost)
+        << "trial " << trial;
   }
 }
 

@@ -200,10 +200,15 @@ class CgpcCli : public ::testing::Test {
 };
 
 TEST_F(CgpcCli, UnknownBackendRejected) {
-  const CliResult r = run_cgpc(std::string(kSourcePath) + " --backend=mpi");
-  EXPECT_EQ(r.status, 2) << r.output;
-  EXPECT_NE(r.output.find("unknown backend 'mpi'"), std::string::npos)
-      << r.output;
+  for (const char* name : {"mpi", "tcp"}) {
+    const CliResult r =
+        run_cgpc(std::string(kSourcePath) + " --backend=" + name);
+    EXPECT_EQ(r.status, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown backend '" + std::string(name) +
+                            "' (thread | proc)"),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST_F(CgpcCli, ProcBackendRejectsFaultInject) {
@@ -214,13 +219,13 @@ TEST_F(CgpcCli, ProcBackendRejectsFaultInject) {
   EXPECT_NE(r.output.find("--backend=proc"), std::string::npos) << r.output;
 }
 
-TEST_F(CgpcCli, TcpStageTimeoutRequiresHeartbeat) {
-  // No longer a hard conflict: --stage-timeout is legal on process
-  // backends, but only with heartbeats (that is where the supervisor
+TEST_F(CgpcCli, ProcStageTimeoutRequiresHeartbeat) {
+  // No longer a hard conflict: --stage-timeout is legal on the process
+  // backend, but only with heartbeats (that is where the supervisor
   // samples worker progress from). Without --heartbeat-ms it exits 2 with
   // a diagnostic naming the cure.
   const CliResult r = run_cgpc(std::string(kSourcePath) +
-                               " --backend=tcp --stage-timeout=2");
+                               " --backend=proc --stage-timeout=2");
   EXPECT_EQ(r.status, 2) << r.output;
   EXPECT_NE(r.output.find("--stage-timeout"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("--heartbeat-ms"), std::string::npos) << r.output;
@@ -228,7 +233,7 @@ TEST_F(CgpcCli, TcpStageTimeoutRequiresHeartbeat) {
 
 TEST_F(CgpcCli, ConflictsReportedTogetherInFlagOrder) {
   const CliResult r = run_cgpc(std::string(kSourcePath) +
-                               " --backend=tcp --fault-seed=7 "
+                               " --backend=proc --fault-seed=7 "
                                "--fault-inject=stage0:throw@1");
   EXPECT_EQ(r.status, 2) << r.output;
   // One diagnostic per conflicting option, in command-line order.
@@ -255,7 +260,7 @@ TEST_F(CgpcCli, HeartbeatMsRejectsGarbage) {
   for (const char* bad :
        {"--heartbeat-ms=fast", "--heartbeat-ms=0", "--heartbeat-ms=2.5"}) {
     const CliResult r =
-        run_cgpc(std::string(kSourcePath) + " --backend=tcp " + bad);
+        run_cgpc(std::string(kSourcePath) + " --backend=proc " + bad);
     EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
     EXPECT_NE(r.output.find("--heartbeat-ms expects an integer"),
               std::string::npos)

@@ -1,5 +1,5 @@
 // Self-healing multi-process runs (docs/ROBUSTNESS.md, self-healing runs):
-// seeded worker-kill chaos storms over the proc and tcp backends, where
+// seeded worker-kill chaos storms over the proc backend, where
 // workers SIGKILL themselves mid-batch and the supervisor must resurrect
 // them in-run — quiesce the links, re-fork the topology, roll back to the
 // last in-memory consistent cut, replay the tail — converging to the
@@ -7,8 +7,8 @@
 // degradation path (restart budget exhausted -> partial result), the
 // heartbeat-fed stall watchdog, and liveness kills after a heartbeat
 // lapse. Suite names all carry "WorkerRespawn" so CI can select them with
-// `ctest -R WorkerRespawn` (and exclude the "/tcp" instantiations under
-// TSan, which does not model the TCP channel's cross-process ordering).
+// `ctest -R WorkerRespawn`. The last sections test the stall rule and the
+// handshake's plan check without forking.
 //
 // The kill mechanism is deliberately in-process: a worker that reaches
 // the shot ordinal claims one of N exclusive marker files and raises the
@@ -315,7 +315,7 @@ int respawns_of(const support::PipelineTrace& stats, const std::string& group) {
 
 // ---------------------------------------------------------------------------
 // The storm: each non-sink worker is SIGKILLed at least twice mid-batch,
-// on both process backends, over a single-copy/unbatched shape (delivery
+// on the process backend, over a single-copy/unbatched shape (delivery
 // must be byte-identical, in order) and a replicated+batched shape
 // (multiset-equal). The run converges in-run — one run_supervised call,
 // no checkpoint file, no resume — to the fault-free oracle.
@@ -326,9 +326,8 @@ class WorkerRespawnStorm : public ::testing::TestWithParam<TransportBackend> {
 
 TEST_P(WorkerRespawnStorm, SeededKillStormConvergesInRunToTheOracle) {
   const TransportBackend backend = GetParam();
-  const char* bname = backend == TransportBackend::kProc ? "proc" : "tcp";
-  Rng rng(storm_seed() ^
-          (backend == TransportBackend::kProc ? 0x5e1full : 0x7cb1ull));
+  const char* bname = backend_name(backend);
+  Rng rng(storm_seed() ^ 0x5e1full);
   struct Round {
     StormShape shape;
     bool ordered;  // single copies everywhere: order is deterministic
@@ -391,11 +390,9 @@ TEST_P(WorkerRespawnStorm, SeededKillStormConvergesInRunToTheOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, WorkerRespawnStorm,
-    ::testing::Values(TransportBackend::kProc, TransportBackend::kTcp),
+    Backends, WorkerRespawnStorm, ::testing::Values(TransportBackend::kProc),
     [](const ::testing::TestParamInfo<TransportBackend>& info) {
-      return info.param == TransportBackend::kProc ? std::string("proc")
-                                                   : std::string("tcp");
+      return std::string(backend_name(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -589,6 +586,139 @@ TEST(WorkerLapseVerdict, KillsOnlyWhenTheSilenceIsTheWorkersOwn) {
   detail::LapseEvidence named = wedged;
   named.task_stats = {"10 (w) R (x)) S 1"};
   EXPECT_TRUE(detail::lapse_is_workers_own(named, lapse_after));
+}
+
+// ---------------------------------------------------------------------------
+// The stage watchdog's no-progress rule, shared by the thread runner's
+// watchdog and the supervisor's reaper, driven here by hand-fed samples.
+// ---------------------------------------------------------------------------
+
+TEST(StallWatchRule, ProgressResetsTheClockAndTheWatchFiresOnceAtTheTimeout) {
+  const std::vector<FilterGroup> groups = {{"src", nullptr, 1, 0},
+                                           {"mid", nullptr, 2, 1}};
+  const detail::Clock::time_point t0 = detail::Clock::now();
+  const auto at = [&](double seconds) {
+    return t0 + std::chrono::duration_cast<detail::Clock::duration>(
+                    std::chrono::duration<double>(seconds));
+  };
+  detail::StallWatch watch(groups, /*timeout_seconds=*/1.0, t0);
+  // The first sample sees fresh progress; the second starts the clock.
+  EXPECT_FALSE(watch.sample(1, 2, 0, 5, at(0.0)));
+  EXPECT_FALSE(watch.sample(1, 2, 0, 5, at(0.5)));
+  EXPECT_FALSE(watch.sample(1, 2, 0, 5, at(1.25)));
+  // Progress resets it: a full timeout must pass again from the restart.
+  EXPECT_FALSE(watch.sample(1, 2, 0, 6, at(1.5)));
+  EXPECT_FALSE(watch.sample(1, 2, 0, 6, at(1.75)));
+  EXPECT_FALSE(watch.sample(1, 2, 0, 6, at(2.5)));
+  const std::optional<support::FaultRecord> fault =
+      watch.sample(1, 2, 0, 6, at(2.75));
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->group, "mid");
+  EXPECT_EQ(fault->copy, -1);
+  EXPECT_EQ(fault->what, "watchdog: stage 'mid' made no progress for 1s");
+  EXPECT_EQ(fault->resolution, support::FaultResolution::kWatchdog);
+  EXPECT_GE(fault->at_seconds, 0.0);
+  // Once per run: the stall goes on, and so does the other group's, but
+  // the watch stays quiet.
+  EXPECT_FALSE(watch.sample(1, 2, 0, 6, at(9.0)));
+  EXPECT_FALSE(watch.sample(0, 1, 0, 3, at(9.0)));
+  EXPECT_FALSE(watch.sample(0, 1, 0, 3, at(9.5)));
+  EXPECT_FALSE(watch.sample(0, 1, 0, 3, at(20.0)));
+}
+
+TEST(StallWatchRule, WaitingAndDeadGroupsAreExempt) {
+  const std::vector<FilterGroup> groups = {{"src", nullptr, 2, 0},
+                                           {"sink", nullptr, 1, 1}};
+  const detail::Clock::time_point t0 = detail::Clock::now();
+  const auto at = [&](double seconds) {
+    return t0 + std::chrono::duration_cast<detail::Clock::duration>(
+                    std::chrono::duration<double>(seconds));
+  };
+  detail::StallWatch watch(groups, /*timeout_seconds=*/1.0, t0);
+  // Every live copy parked in a wait: starved or backpressured, not hung.
+  for (double t = 0.0; t < 5.0; t += 0.5)
+    EXPECT_FALSE(watch.sample(0, 2, 2, 7, at(t))) << t;
+  // One copy computing without moving data is a stall.
+  EXPECT_FALSE(watch.sample(0, 2, 1, 7, at(5.0)));
+  // A group with no live copy cannot stall, however long it sits.
+  for (double t = 0.0; t < 5.0; t += 0.5)
+    EXPECT_FALSE(watch.sample(1, 0, 0, 4, at(t))) << t;
+  // The exemptions reset the clock: after the dead spell, group 1 needs
+  // a full timeout of its own before it fires.
+  EXPECT_FALSE(watch.sample(1, 1, 0, 4, at(5.0)));
+  EXPECT_FALSE(watch.sample(1, 1, 0, 4, at(5.5)));
+  EXPECT_FALSE(watch.sample(1, 1, 0, 4, at(6.4)));
+  EXPECT_TRUE(watch.sample(1, 1, 0, 4, at(6.5)).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The handshake's plan check: a worker names every field on which the
+// supervisor's plan disagrees with what it inherited across fork.
+// ---------------------------------------------------------------------------
+
+TEST(WorkerPlanCheck, NamesEachMismatchingField) {
+  const std::vector<FilterGroup> groups = {{"src", nullptr, 1, 0},
+                                           {"mid", nullptr, 2, 1},
+                                           {"sink", nullptr, 1, 2}};
+  RunnerConfig config;
+  config.backend = TransportBackend::kProc;
+  config.batch_size = 4;
+  config.checkpoint_interval = 3;
+  config.heartbeat_seconds = 0.05;
+  const detail::WorkerPlan expected =
+      detail::plan_for(1, groups, config, /*run_ckpt=*/true);
+  EXPECT_EQ(expected.group_name, "mid");
+  EXPECT_EQ(expected.copies, 2);
+  EXPECT_EQ(expected.restore_cut_id, -1);
+  // A plan that agrees, down to a run epoch the check does not read.
+  detail::WorkerPlan plan = expected;
+  plan.run_elapsed_seconds = 12.5;
+  EXPECT_TRUE(detail::plan_mismatches(plan, expected).empty());
+
+  const auto only = [&](auto mutate) {
+    detail::WorkerPlan p = expected;
+    mutate(p);
+    return detail::plan_mismatches(p, expected);
+  };
+  using Fields = std::vector<std::string>;
+  EXPECT_EQ(only([](auto& p) { p.gi = 0; }), Fields{"group-index"});
+  EXPECT_EQ(only([](auto& p) { p.n_groups = 4; }), Fields{"pipeline-size"});
+  EXPECT_EQ(only([](auto& p) { p.group_name = "src"; }), Fields{"stage-name"});
+  EXPECT_EQ(only([](auto& p) { p.copies = 1; }), Fields{"replica-count"});
+  EXPECT_EQ(only([](auto& p) { p.stream_capacity = 1; }),
+            Fields{"stream-capacity"});
+  EXPECT_EQ(only([](auto& p) { p.batch_size = 1; }), Fields{"batch-size"});
+  EXPECT_EQ(only([](auto& p) { p.pool_buffers_per_class = 0; }),
+            Fields{"pool-depth"});
+  EXPECT_EQ(only([](auto& p) { p.checkpoint_interval = 0; }),
+            Fields{"checkpoint-interval"});
+  EXPECT_EQ(only([](auto& p) { p.ring_bytes = 1; }), Fields{"ring-bytes"});
+  EXPECT_EQ(only([](auto& p) { p.run_ckpt = 0; }), Fields{"run-ckpt"});
+  EXPECT_EQ(only([](auto& p) { p.heartbeat_seconds = 0.0; }),
+            Fields{"heartbeat"});
+  EXPECT_EQ(only([](auto& p) { p.restore_cut_id = 7; }), Fields{"restore-cut"});
+  EXPECT_EQ(only([](auto& p) { p.restore_digest = 99; }),
+            Fields{"restore-cut"});
+  // Several at once come back together, in plan order.
+  EXPECT_EQ(only([](auto& p) {
+              p.heartbeat_seconds = 1.0;
+              p.gi = 2;
+              p.batch_size = 8;
+            }),
+            (Fields{"group-index", "batch-size", "heartbeat"}));
+
+  // A worker that inherited a restore cut expects its id and digest.
+  RunCheckpoint cut;
+  cut.id = 5;
+  cut.source_copies = {9};
+  RunnerConfig resumed = config;
+  resumed.resume = &cut;
+  const detail::WorkerPlan rolled_back =
+      detail::plan_for(1, groups, resumed, true);
+  EXPECT_EQ(rolled_back.restore_cut_id, 5);
+  EXPECT_EQ(rolled_back.restore_digest, checkpoint_checksum(cut));
+  EXPECT_EQ(detail::plan_mismatches(expected, rolled_back),
+            Fields{"restore-cut"});
 }
 
 }  // namespace

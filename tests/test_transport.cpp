@@ -1,11 +1,11 @@
 // Transport-layer tests (docs/PERFORMANCE.md, backend selection): backend
 // parsing and option-conflict diagnostics, the shared frame codec (torn
 // prefixes, partial feeds, batch integrity), the shared-memory byte ring
-// (wraparound, full/empty blocking, oversize streaming, abort), the TCP
-// loopback channels (short reads/writes, clean EOF, truncation), the
+// (wraparound, full/empty blocking, oversize streaming, abort), frame
+// links over pipes (short reads/writes, clean EOF, truncation), the
 // marker-never-batched-with-data invariant the pumps rely on, and
-// end-to-end multi-process pipeline runs on the proc and tcp backends —
-// the first execution environment of runner_proc.cpp. The Transport* and
+// end-to-end multi-process pipeline runs on the proc backend — the first
+// execution environment of runner_proc.cpp. The Transport* and
 // *Backend* cases are the transport-conformance CI job's targets.
 #include <errno.h>
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,7 +28,6 @@
 #include "datacutter/runner.h"
 #include "datacutter/shm_ring.h"
 #include "datacutter/stream.h"
-#include "datacutter/tcp_channel.h"
 #include "datacutter/transport.h"
 
 namespace cgp::dc {
@@ -42,12 +40,12 @@ namespace {
 TEST(TransportBackendNames, ParseAndNameRoundTrip) {
   EXPECT_EQ(parse_backend("thread"), TransportBackend::kThread);
   EXPECT_EQ(parse_backend("proc"), TransportBackend::kProc);
-  EXPECT_EQ(parse_backend("tcp"), TransportBackend::kTcp);
+  EXPECT_FALSE(parse_backend("tcp").has_value());
   EXPECT_FALSE(parse_backend("mpi").has_value());
   EXPECT_FALSE(parse_backend("").has_value());
   EXPECT_FALSE(parse_backend("Thread").has_value());
-  for (TransportBackend b : {TransportBackend::kThread, TransportBackend::kProc,
-                             TransportBackend::kTcp})
+  for (TransportBackend b :
+       {TransportBackend::kThread, TransportBackend::kProc})
     EXPECT_EQ(parse_backend(backend_name(b)), b);
 }
 
@@ -64,15 +62,15 @@ TEST(TransportBackendNames, FlagConflicts) {
   EXPECT_NE(one[0].find("--backend=proc"), std::string::npos);
   // Diagnostics come out in the order the flags were given.
   const std::vector<std::string> two = transport_flag_conflicts(
-      TransportBackend::kTcp, {"--fault-seed", "--fault-inject"});
+      TransportBackend::kProc, {"--fault-seed", "--fault-inject"});
   ASSERT_EQ(two.size(), 2u);
   EXPECT_EQ(two[0].find("--fault-seed"), 0u);
   EXPECT_EQ(two[1].find("--fault-inject"), 0u);
-  EXPECT_NE(two[0].find("--backend=tcp"), std::string::npos);
+  EXPECT_NE(two[0].find("--backend=proc"), std::string::npos);
   // --stage-timeout is no longer a conflict: heartbeats make the watchdog
   // legal on process backends (the heartbeat requirement is validated by
   // the runner, not here). Unknown flags are simply not conflicts.
-  EXPECT_TRUE(transport_flag_conflicts(TransportBackend::kTcp,
+  EXPECT_TRUE(transport_flag_conflicts(TransportBackend::kProc,
                                        {"--stage-timeout", "--packets"})
                   .empty());
   EXPECT_TRUE(transport_flag_conflicts(TransportBackend::kProc, {}).empty());
@@ -284,8 +282,8 @@ struct PipePair {
 PipePair make_pipe_pair() {
   int fds[2];
   EXPECT_EQ(::pipe(fds), 0);
-  return {std::make_shared<FdChannel>(fds[0], FdChannel::Kind::kPipe),
-          std::make_shared<FdChannel>(fds[1], FdChannel::Kind::kPipe)};
+  return {std::make_shared<FdChannel>(fds[0]),
+          std::make_shared<FdChannel>(fds[1])};
 }
 
 TEST(FrameLinkPipe, LargeFrameStreamsThroughShortWrites) {
@@ -560,112 +558,6 @@ TEST(ShmRingTest, SurvivorsKeepWakingAfterAParkedPeerIsKilled) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP loopback channels
-// ---------------------------------------------------------------------------
-
-TEST(TcpChannelTest, LoopbackLargeFrameBothDirections) {
-  TcpListener listener;
-  ASSERT_GT(listener.port(), 0);
-  std::shared_ptr<FdChannel> client;
-  std::thread connector(
-      [&] { client = tcp_connect_loopback(listener.port()); });
-  std::shared_ptr<FdChannel> server = listener.accept_one();
-  connector.join();
-  ASSERT_TRUE(client != nullptr);
-  ASSERT_TRUE(server != nullptr);
-
-  const std::string request(256 * 1024, 'q');
-  const std::string response(128 * 1024, 'r');
-  std::thread client_side([&] {
-    FrameLink link_out(client);
-    FrameLink link_in(client);
-    EXPECT_TRUE(link_out.send(Frame::data(payload_buffer(1, request))));
-    link_out.close_write();
-    std::optional<Frame> got = link_in.recv();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(payload_string(got->buffers[0]), response);
-    EXPECT_FALSE(link_in.recv().has_value());
-    EXPECT_TRUE(link_in.error().empty());
-  });
-  FrameLink link_in(server);
-  FrameLink link_out(server);
-  std::optional<Frame> got = link_in.recv();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->buffers[0].size(), request.size());
-  EXPECT_TRUE(link_out.send(Frame::data(payload_buffer(2, response))));
-  link_out.close_write();
-  EXPECT_FALSE(link_in.recv().has_value());  // client shut down cleanly
-  EXPECT_TRUE(link_in.error().empty());
-  client_side.join();
-}
-
-TEST(TcpChannelTest, AbortUnblocksBlockedReader) {
-  TcpListener listener;
-  std::shared_ptr<FdChannel> client;
-  std::thread connector(
-      [&] { client = tcp_connect_loopback(listener.port()); });
-  std::shared_ptr<FdChannel> server = listener.accept_one();
-  connector.join();
-  std::atomic<std::ptrdiff_t> result{99};
-  std::thread reader([&] {
-    std::byte chunk[16];
-    result.store(server->read_some(chunk, sizeof(chunk)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(result.load(), 99);
-  server->abort();
-  reader.join();
-  EXPECT_LE(result.load(), 0);  // -1 (abort) or 0 (reset read as EOF)
-  std::byte b{};
-  EXPECT_FALSE(server->write_all(&b, 1));
-}
-
-TEST(TcpChannelTest, AcceptOneCancelFdUnblocksParkedAccept) {
-  // A worker parked in accept_one with nothing connecting must wake when
-  // its command pipe becomes readable (abort broadcast) or hangs up
-  // (supervisor died) — the wedge the startup window used to have.
-  for (const bool hang_up : {false, true}) {
-    TcpListener listener;
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    std::shared_ptr<FdChannel> got =
-        std::make_shared<FdChannel>(-1, FdChannel::Kind::kPipe);
-    std::thread acceptor([&] { got = listener.accept_one(fds[0]); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (hang_up) {
-      ::close(fds[1]);
-    } else {
-      const char poke = 'x';
-      ASSERT_EQ(::write(fds[1], &poke, 1), 1);
-    }
-    acceptor.join();
-    EXPECT_EQ(got, nullptr);
-    ::close(fds[0]);
-    if (!hang_up) ::close(fds[1]);
-  }
-}
-
-TEST(TcpChannelTest, QueuedConnectionBeatsCancellation) {
-  TcpListener listener;
-  // A connection already queued wins over a cancel fd that is already
-  // readable...
-  std::shared_ptr<FdChannel> first = tcp_connect_loopback(listener.port());
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const char poke = 'x';
-  ASSERT_EQ(::write(fds[1], &poke, 1), 1);
-  EXPECT_NE(listener.accept_one(fds[0]), nullptr);
-  ::close(fds[0]);
-  ::close(fds[1]);
-  // ...and over a predicate that is already reporting cancellation (the
-  // final zero-timeout poll drains it)...
-  std::shared_ptr<FdChannel> second = tcp_connect_loopback(listener.port());
-  EXPECT_NE(listener.accept_one(-1, [] { return true; }), nullptr);
-  // ...while with nothing queued the predicate abandons the accept.
-  EXPECT_EQ(listener.accept_one(-1, [] { return true; }), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // The Stream-side invariant the send pumps rely on
 // ---------------------------------------------------------------------------
 
@@ -704,7 +596,7 @@ TEST(StreamMarkerInvariant, PopBatchNeverMixesMarkerWithData) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end multi-process pipelines (the proc and tcp backends)
+// End-to-end multi-process pipelines (the proc backend)
 // ---------------------------------------------------------------------------
 
 class CountingSource : public Filter {
@@ -1044,8 +936,7 @@ TEST_P(BackendPipeline, WorkerFaultTextCrossesTheWireByteExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendPipeline,
-                         ::testing::Values(TransportBackend::kProc,
-                                           TransportBackend::kTcp),
+                         ::testing::Values(TransportBackend::kProc),
                          [](const auto& info) {
                            return std::string(backend_name(info.param));
                          });
@@ -1077,8 +968,7 @@ TEST(MultiprocessRunner, StageTimeoutWithoutHeartbeatsRejected) {
   // The watchdog needs worker progress samples, which on a process
   // backend only the heartbeat stream provides; without heartbeats the
   // combination is rejected up front, with a message that names the cure.
-  for (TransportBackend backend :
-       {TransportBackend::kProc, TransportBackend::kTcp}) {
+  for (TransportBackend backend : {TransportBackend::kProc}) {
     auto state = std::make_shared<SinkState>();
     FaultPolicy policy;
     policy.stage_timeout_seconds = 0.5;
@@ -1140,53 +1030,6 @@ TEST(MultiprocessRunner, GroupStateCodecRoundTripsWorkerState) {
   ASSERT_TRUE(outcome.ok()) << outcome.stats.error;
   // Both worker blobs were imported: src added 1000, mid added 2000.
   EXPECT_EQ(state->total, payload_total + 3000);
-}
-
-TEST(MultiprocessRunner, TcpWorkerDeathAtStartupNeverWedgesTheRun) {
-  // Regression: a worker SIGKILLed in its startup window (after its plan
-  // ACK, possibly before the tcp data plane connected) used to strand its
-  // downstream peer — or the supervisor's own sink accept — in a blocking
-  // accept() nothing could interrupt, hanging the run forever. Sweep kill
-  // delays across both workers so the shots land all over that window;
-  // every run must return.
-  for (const std::size_t victim_gi : {std::size_t{0}, std::size_t{1}}) {
-    for (const int delay_us : {0, 200, 800, 3000}) {
-      auto state = std::make_shared<SinkState>();
-      RunnerConfig config;
-      config.backend = TransportBackend::kTcp;
-      config.stream_capacity = 4;
-      PipelineRunner runner(three_stage(20000, 1, state), config);
-      std::mutex mutex;
-      std::array<long, 2> pids = {0, 0};
-      std::thread killer;
-      runner.set_process_hook([&](std::size_t gi, long pid) {
-        std::lock_guard lock(mutex);
-        if (gi < pids.size()) pids[gi] = pid;
-        if (gi != 1) return;
-        // Both workers forked — the supervisor is single-threaded until
-        // here (the multi-process backends rely on that), so only now may
-        // the killer thread exist.
-        killer = std::thread([&, delay_us, victim_gi] {
-          if (delay_us > 0)
-            std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-          long target;
-          {
-            std::lock_guard pid_lock(mutex);
-            target = pids[victim_gi];
-          }
-          if (target > 0) ::kill(static_cast<pid_t>(target), SIGKILL);
-        });
-      });
-      RunOutcome outcome = runner.run_supervised();
-      if (killer.joinable()) killer.join();
-      // The shot usually lands mid-run and the death must be on record;
-      // with the longer delays the run may occasionally outrun it.
-      if (!outcome.ok()) {
-        EXPECT_FALSE(outcome.stats.error.empty())
-            << "victim=" << victim_gi << " delay=" << delay_us;
-      }
-    }
-  }
 }
 
 TEST(MultiprocessRunner, SigpipeDispositionRestoredAfterRun) {
